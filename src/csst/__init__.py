@@ -6,7 +6,8 @@ Layers, roughly bottom to top:
     core         NodeId / error vocabulary shared by all order variants
     incremental  insert-only order, O(1)-lookup queries
     dynamic      insert + delete order, small per-query fixpoint
-    baselines    vector clocks, plain BFS graph, dense segment trees
+    baselines    vector clocks, plain BFS graph, and csst-inc's closure
+                 over dense segment trees
     oracle       brute-force arbiter for differential testing
     harness      op-log replay, fuzzing, benchmarking
     satcheck     trace consistency checking by order saturation
@@ -14,7 +15,6 @@ Layers, roughly bottom to top:
 """
 
 from .core import (
-    ChainGeometry,
     NodeId,
     PartialOrderBase,
     PoError,
@@ -29,7 +29,6 @@ from .oracle import BruteForcePartialOrder
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChainGeometry",
     "NodeId",
     "PartialOrderBase",
     "PoError",

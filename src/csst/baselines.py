@@ -2,8 +2,9 @@
 
 VectorClockPO   insert-only; per-event clock rows with lazy dense prefixes
 GraphPO         fully dynamic; explicit adjacency + pruned BFS per query
-PlainStPO       insert-only; the same closed-array scheme as the sparse
-                version but on fully materialized dense segment trees
+PlainStPO       insert-only; IncrementalPartialOrder's closure unchanged,
+                over DenseMinArray (fully materialized segment trees) in
+                place of the sparse SuffixMinArray
 
 All three answer exactly the same queries as the tree-based orders; they
 differ in cost, never in answers (the differential fuzzer enforces that).
@@ -20,6 +21,7 @@ from .core import (
     duplicate_edge,
     missing_edge,
 )
+from .incremental import IncrementalPartialOrder
 from .sst import INF
 
 
@@ -245,33 +247,29 @@ class GraphPO(PartialOrderBase):
         return None if r < 0 else r
 
 
-class PlainStPO(PartialOrderBase):
-    """Transitively closed chain-pair arrays on dense segment trees.
+class DenseMinArray:
+    """Suffix minima on a fully materialized heap-layout segment tree.
 
-    Same closure discipline as the sparse insert-only order, written
-    independently on fully materialized trees (every index owns a leaf, all
-    interior nodes exist up front). Answers are identical; the footprint is
-    what differs, which node_count() exposes.
+    Speaks SuffixMinArray's interface (update, min_suffix, argleq, grow,
+    density, height, node_count), but every index of the power-of-two span
+    owns a leaf and every interior node exists from construction on.
+    tree[1] is the root; node n has children 2n and 2n + 1; leaf i sits at
+    span + i. Indices are not range-checked: the order validates them.
     """
 
-    def __init__(self, k: int, lengths):
-        super().__init__(k, lengths)
-        self._span = [1] * k
-        for t in range(k):
-            while self._span[t] < max(lengths[t], 1):
-                self._span[t] *= 2
-        # trees[t1 * k + t2]: heap-layout min-tree of size 2 * span(t1).
-        self.trees: list[list | None] = [
-            [INF] * (2 * self._span[t1]) if t1 != t2 else None
-            for t1 in range(k)
-            for t2 in range(k)
-        ]
+    __slots__ = ("_span", "_tree")
 
-    # -- dense tree primitives ---------------------------------------------------
+    def __init__(self, capacity: int):
+        span = 1
+        while span < capacity:
+            span *= 2
+        self._span = span
+        self._tree = [INF] * (2 * span)
 
-    @staticmethod
-    def _set(tree: list, span: int, i: int, v) -> None:
-        n = span + i
+    def update(self, i: int, v) -> None:
+        """Set A[i] = v; v = inf clears the entry."""
+        tree = self._tree
+        n = self._span + i
         tree[n] = v
         n >>= 1
         while n:
@@ -283,11 +281,12 @@ class PlainStPO(PartialOrderBase):
             tree[n] = m
             n >>= 1
 
-    @staticmethod
-    def _min_from(tree: list, span: int, i: int):
+    def min_suffix(self, i: int):
+        """min A[i:]; inf when the suffix holds no entry."""
+        tree = self._tree
         res = INF
-        lo = span + i
-        hi = 2 * span
+        lo = self._span + i
+        hi = 2 * self._span
         while lo < hi:
             if lo & 1:
                 if tree[lo] < res:
@@ -301,91 +300,58 @@ class PlainStPO(PartialOrderBase):
             hi >>= 1
         return res
 
-    @staticmethod
-    def _argleq(tree: list, span: int, v):
+    def argleq(self, v) -> int | None:
+        """Largest index whose entry is <= v; None when no entry qualifies."""
+        tree = self._tree
         if tree[1] > v:
             return None
+        span = self._span
         n = 1
         while n < span:
             r = 2 * n + 1
             n = r if tree[r] <= v else 2 * n
         return n - span
 
-    # -- updates ---------------------------------------------------------------
-
-    def _insert_edge(self, u: NodeId, v: NodeId) -> None:
-        k = self.k
-        t1, j1 = u
-        t2, j2 = v
-        trees = self.trees
+    def grow(self, new_capacity: int) -> None:
+        """Widen the span to cover new_capacity, keeping every leaf."""
         span = self._span
-        preds = [0] * k
-        succs = [0] * k
-        for t in range(k):
-            if t == t1:
-                preds[t] = j1
-            else:
-                p = self._argleq(trees[t * k + t1], span[t], j1)
-                preds[t] = -1 if p is None else p
-            if t == t2:
-                succs[t] = j2
-            else:
-                succs[t] = self._min_from(trees[t2 * k + t], span[t2], j2)
-        for ta in range(k):
-            ja = preds[ta]
-            if ja < 0:
-                continue
-            for tb in range(k):
-                if tb == ta:
-                    continue
-                jb = succs[tb]
-                if jb == INF:
-                    continue
-                tree = trees[ta * k + tb]
-                if self._min_from(tree, span[ta], ja) > jb:
-                    self._set(tree, span[ta], ja, jb)
-
-    def _delete_edge(self, u: NodeId, v: NodeId) -> None:
-        raise delete_unsupported(u, v)
-
-    def _grow(self, chain: int, new_len: int) -> None:
-        span = self._span[chain]
-        if new_len <= span:
+        if new_capacity <= span:
             return
         new_span = span
-        while new_span < new_len:
+        while new_span < new_capacity:
             new_span *= 2
-        k = self.k
-        for t in range(k):
-            if t == chain:
-                continue
-            old = self.trees[chain * k + t]
-            tree = [INF] * (2 * new_span)
-            tree[new_span : new_span + span] = old[span : 2 * span]
-            for n in range(new_span - 1, 0, -1):
-                l = tree[2 * n]
-                r = tree[2 * n + 1]
-                tree[n] = l if l <= r else r
-            self.trees[chain * k + t] = tree
-        self._span[chain] = new_span
+        tree = [INF] * (2 * new_span)
+        tree[new_span : new_span + span] = self._tree[span : 2 * span]
+        for n in range(new_span - 1, 0, -1):
+            l = tree[2 * n]
+            r = tree[2 * n + 1]
+            tree[n] = l if l <= r else r
+        self._span = new_span
+        self._tree = tree
 
-    # -- queries ---------------------------------------------------------------
+    def density(self) -> int:
+        """Number of live (non-inf) leaves, counted by a scan."""
+        return sum(1 for v in self._tree[self._span :] if v != INF)
 
-    def _successor(self, u: NodeId, t2: int):
-        r = self._min_from(self.trees[u.chain * self.k + t2], self._span[u.chain], u.index)
-        return None if r == INF else r
-
-    def _predecessor(self, u: NodeId, t1: int):
-        return self._argleq(self.trees[t1 * self.k + u.chain], self._span[t1], u.index)
-
-    # -- introspection -----------------------------------------------------------
+    def height(self) -> int:
+        """Depth of the leaves: log2 of the span."""
+        return self._span.bit_length() - 1
 
     def node_count(self) -> int:
-        """Allocated tree nodes: every dense tree carries 2*span - 1."""
-        total = 0
-        k = self.k
-        for t1 in range(k):
-            for t2 in range(k):
-                if t1 != t2:
-                    total += 2 * self._span[t1] - 1
-        return total
+        """Allocated tree nodes: always 2 * span - 1."""
+        return 2 * self._span - 1
+
+
+class PlainStPO(IncrementalPartialOrder):
+    """csst-inc's closure over DenseMinArray in place of SuffixMinArray.
+
+    Insert, query and grow are inherited unchanged, so answers are identical;
+    the footprint is what differs, which node_count() exposes.
+    """
+
+    def __init__(self, k: int, lengths):
+        super().__init__(k, lengths)
+
+    @staticmethod
+    def _new_array(capacity: int, block_threshold: int) -> DenseMinArray:
+        return DenseMinArray(capacity)

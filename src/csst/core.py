@@ -14,14 +14,7 @@ scratch state, so even concurrent read-only access is unsupported.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import NamedTuple
-
-NONE_SUCC = None
-"""Returned by successor() when no node of the target chain is reachable."""
-
-NONE_PRED = None
-"""Returned by predecessor() when no node of the target chain reaches u."""
 
 
 class NodeId(NamedTuple):
@@ -80,30 +73,6 @@ def cycle_detected(u: NodeId, v: NodeId) -> PoError:
     return PoError(PoErrorKind.CYCLE_DETECTED, (u, v))
 
 
-@dataclass(frozen=True)
-class ChainGeometry:
-    """Shape of the chain collection: k chains with fixed current lengths.
-
-    lengths[t] is the number of events currently in chain t; indices run
-    0 .. lengths[t]-1. k must be >= 1; lengths must be >= 0.
-    """
-
-    lengths: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.lengths) < 1:
-            raise ValueError("need at least one chain")
-        if any(n < 0 for n in self.lengths):
-            raise ValueError("chain lengths must be >= 0")
-
-    @property
-    def k(self) -> int:
-        return len(self.lengths)
-
-    def contains(self, u: NodeId) -> bool:
-        return 0 <= u.chain < self.k and 0 <= u.index < self.lengths[u.chain]
-
-
 class PartialOrderBase:
     """Common validation and trivia shared by every order implementation.
 
@@ -152,7 +121,7 @@ class PartialOrderBase:
         self._delete_edge(u, v)
 
     def successor(self, u: NodeId, t2: int) -> int | None:
-        """Smallest index j with u reaching (t2, j), or NONE_SUCC.
+        """Smallest index j with u reaching (t2, j), or None.
 
         Within u's own chain the answer is u.index itself (u reaches u).
         """
@@ -163,7 +132,7 @@ class PartialOrderBase:
         return self._successor(u, t2)
 
     def predecessor(self, u: NodeId, t1: int) -> int | None:
-        """Largest index j with (t1, j) reaching u, or NONE_PRED."""
+        """Largest index j with (t1, j) reaching u, or None."""
         self._check_node(u)
         self._check_chain(t1)
         if t1 == u.chain:
@@ -206,7 +175,3 @@ class PartialOrderBase:
     def _grow(self, chain: int, new_len: int) -> None:
         # Default: nothing beyond the length bump in grow().
         return
-
-    def validate(self, u: NodeId) -> None:
-        """Raise OutOfRange unless u addresses a current event."""
-        self._check_node(u)

@@ -51,6 +51,10 @@ SUPPORTS_DELETE = {"csst-dyn", "graph"}
 
 
 def make_backend(name: str, k: int, lengths) -> PartialOrderBase:
+    """Instantiate a backend by id; "oracle" also names the brute-force
+    arbiter, which is not offered as a backend on the command line."""
+    if name == "oracle":
+        return BruteForcePartialOrder(k, lengths)
     try:
         cls = BACKENDS[name]
     except KeyError:
@@ -421,34 +425,10 @@ def _oplog_disagrees(records: list[OpRecord], names: list[str]) -> bool:
     """True when replaying the log produces any cross-backend disagreement;
     used by the shrinker."""
     try:
-        oracle_out = replay_oracle(records)
+        oracle_out = replay(records, "oracle")
         return any(replay(records, n) != oracle_out for n in names)
     except (PoError, ValueError):
         return False  # an invalid candidate is not a reproducer
-
-
-def replay_oracle(records: list[OpRecord]) -> list[str]:
-    k = records[0].args[0]
-    po = BruteForcePartialOrder(k, list(records[0].args[1:]))
-    out: list[str] = []
-    for rec in records[1:]:
-        a = rec.args
-        if rec.op == "ins":
-            po.insert_edge(NodeId(a[0], a[1]), NodeId(a[2], a[3]))
-        elif rec.op == "del":
-            po.delete_edge(NodeId(a[0], a[1]), NodeId(a[2], a[3]))
-        elif rec.op == "succ":
-            r = po.successor(NodeId(a[0], a[1]), a[2])
-            out.append(f"succ -> {'inf' if r is None else r}")
-        elif rec.op == "pred":
-            r = po.predecessor(NodeId(a[0], a[1]), a[2])
-            out.append(f"pred -> {'none' if r is None else r}")
-        elif rec.op == "reach":
-            r = po.reachable(NodeId(a[0], a[1]), NodeId(a[2], a[3]))
-            out.append(f"reach -> {'true' if r else 'false'}")
-        elif rec.op == "grow":
-            po.grow(a[0], a[1])
-    return out
 
 
 def shrink_oplog(records: list[OpRecord], names: list[str], budget: int = 300) -> list[OpRecord]:

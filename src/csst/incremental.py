@@ -32,10 +32,15 @@ class IncrementalPartialOrder(PartialOrderBase):
         # arrays[t1 * k + t2] maps j1 -> least reachable index of chain t2;
         # diagonal slots stay None (same-chain answers are trivial).
         self.arrays: list[SuffixMinArray | None] = [
-            SuffixMinArray(self.lengths[t1], block_threshold) if t1 != t2 else None
+            self._new_array(self.lengths[t1], block_threshold) if t1 != t2 else None
             for t1 in range(k)
             for t2 in range(k)
         ]
+
+    @staticmethod
+    def _new_array(capacity: int, block_threshold: int) -> SuffixMinArray:
+        """Build one chain-pair array; subclasses swap the array type here."""
+        return SuffixMinArray(capacity, block_threshold)
 
     # -- updates ---------------------------------------------------------------
 

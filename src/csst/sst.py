@@ -444,38 +444,3 @@ class SuffixMinArray:
             on_left = i <= mid
             nd = nd.left if on_left else nd.right
         return False
-
-    # -- instrumentation -------------------------------------------------------
-
-    def _min_suffix_probed(self, i: int):
-        """min_suffix plus the depth (in edges) at which the descent stopped.
-
-        Mirrors min_suffix exactly; kept separate so the hot path stays bare.
-        """
-        if not 0 <= i < max(self.capacity, 1):
-            raise IndexError(f"index {i} out of range 0..{self.capacity - 1}")
-        res = INF
-        nd = self._root
-        depth = 0
-        while nd is not None and i <= nd.end:
-            if nd.pos >= i:
-                m = nd.min
-                return (m if m < res else res), depth
-            if nd.block is not None:
-                blk = nd.block
-                lo = i - nd.start if i > nd.start else 0
-                for off in range(lo, len(blk)):
-                    v = blk[off]
-                    if v < res:
-                        res = v
-                return res, depth
-            mid = nd.start + (nd.end - nd.start) // 2
-            if i <= mid:
-                r = nd.right
-                if r is not None and r.min < res:
-                    res = r.min
-                nd = nd.left
-            else:
-                nd = nd.right
-            depth += 1
-        return res, depth

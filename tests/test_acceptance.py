@@ -31,7 +31,6 @@ from csst.harness import (
     WorkloadShape,
     parse_oplog,
     replay,
-    replay_oracle,
     run_bench,
 )
 from csst.satcheck import check
@@ -269,7 +268,7 @@ def test_acceptance_9_replay_and_bench_are_reproducible():
     records = parse_oplog(churn.oplog_text())
     for name in ("csst-dyn", "graph"):
         assert replay(records, name) == replay(records, name)
-    assert replay(records, "csst-dyn") == replay_oracle(records)
+    assert replay(records, "csst-dyn") == replay(records, "oracle")
 
     ins_only = DifferentialRun(90_002, FuzzOptions(max_updates=120, max_queries=200))
     ins_only.run()

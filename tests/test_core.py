@@ -1,24 +1,10 @@
-"""Shared vocabulary: geometry, errors, same-chain conventions."""
+"""Shared vocabulary: errors, same-chain conventions, growth."""
 
 import pytest
 
-from csst import BruteForcePartialOrder, ChainGeometry, NodeId, PoError, PoErrorKind
+from csst import BruteForcePartialOrder, NodeId, PoError, PoErrorKind
 
 N = NodeId
-
-
-def test_geometry_validation():
-    g = ChainGeometry((3, 0, 5))
-    assert g.k == 3
-    assert g.contains(N(0, 2))
-    assert not g.contains(N(0, 3))
-    assert not g.contains(N(1, 0))  # empty chain holds nothing
-    assert not g.contains(N(3, 0))
-    assert not g.contains(N(0, -1))
-    with pytest.raises(ValueError):
-        ChainGeometry(())
-    with pytest.raises(ValueError):
-        ChainGeometry((2, -1))
 
 
 def test_single_chain_order_is_trivial():

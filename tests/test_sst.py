@@ -64,9 +64,12 @@ def test_query_stops_early_when_carried_pair_decides():
     shape = tree_shape(a)
     assert shape[(0, 7)] == (42, 1)
     assert shape[(0, 3)] == (59, 3)
-    val, depth = a._min_suffix_probed(2)
-    assert val == 59
-    assert depth == 1
+    assert a.min_suffix(2) == 59
+    # Cut everything below the depth-1 node (0, 3): a descent that went past
+    # it would now find nothing there and answer 80, the right half's min.
+    left = a._root.left
+    assert (left.start, left.end) == (0, 3)
+    left.left = left.right = None
     assert a.min_suffix(2) == 59
 
 

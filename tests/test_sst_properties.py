@@ -1,10 +1,12 @@
-"""Randomized invariants of SuffixMinArray against a dict-backed mirror."""
+"""Randomized invariants of SuffixMinArray and DenseMinArray against a
+dict-backed mirror."""
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from csst.baselines import DenseMinArray
 from csst.sst import INF, SuffixMinArray
 from helpers import RefArray
 
@@ -62,6 +64,20 @@ def test_matches_mirror(cap, b, ops):
     assert arr.density() == ref.density()
     # Entry ownership is unique and lossless.
     assert arr.entries() == ref.data
+
+
+@settings(max_examples=200, deadline=None)
+@given(cap=st.integers(1, 48), ops=_ops(48))
+@example(cap=4, ops=[("set", 3, 7), ("grow", 1), ("set", 4, 2), ("del", 3)])
+def test_dense_matches_mirror(cap, ops):
+    arr = DenseMinArray(cap)
+    ref = RefArray(cap)
+    _apply(arr, ref, ops)
+    for i in range(ref.capacity):
+        assert arr.min_suffix(i) == ref.min_suffix(i)
+    for v in range(0, 42):
+        assert arr.argleq(v) == ref.argleq(v)
+    assert arr.density() == ref.density()
 
 
 @settings(max_examples=200, deadline=None)

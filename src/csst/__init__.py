@@ -3,7 +3,8 @@
 Layers, roughly bottom to top:
 
     sst          sparse suffix-minima tree (the core index structure)
-    core         NodeId / error vocabulary shared by all order variants
+    core         NodeId / error vocabulary shared by all order variants,
+                 and the chain-pair base of incremental, dynamic and st
     incremental  insert-only order, O(1)-lookup queries
     dynamic      insert + delete order, small per-query fixpoint
     baselines    vector clocks, plain BFS graph, and csst-inc's closure

@@ -115,11 +115,7 @@ class VectorClockPO(PartialOrderBase):
 
     # -- queries ---------------------------------------------------------------
 
-    def reachable(self, u: NodeId, v: NodeId) -> bool:
-        self._check_node(u)
-        self._check_node(v)
-        if u.chain == v.chain:
-            return u.index <= v.index
+    def _reachable(self, u: NodeId, v: NodeId) -> bool:
         return self._entry(v.chain, v.index, u.chain) >= u.index
 
     def _successor(self, u: NodeId, t2: int):
@@ -231,11 +227,7 @@ class GraphPO(PartialOrderBase):
                                 stack.append((t1, j1))
         return covered
 
-    def reachable(self, u: NodeId, v: NodeId) -> bool:
-        self._check_node(u)
-        self._check_node(v)
-        if u.chain == v.chain:
-            return u.index <= v.index
+    def _reachable(self, u: NodeId, v: NodeId) -> bool:
         return self._flood_fwd(u.chain, u.index, v.chain, v.index)
 
     def _successor(self, u: NodeId, t2: int):
@@ -353,5 +345,5 @@ class PlainStPO(IncrementalPartialOrder):
         super().__init__(k, lengths)
 
     @staticmethod
-    def _new_array(capacity: int, block_threshold: int) -> DenseMinArray:
+    def _new_array(capacity: int) -> DenseMinArray:
         return DenseMinArray(capacity)

@@ -1,4 +1,5 @@
-"""Shared vocabulary for partial orders over collections of chains.
+"""Shared vocabulary for partial orders over collections of chains, and the
+base class of the orders kept as one array per ordered chain pair.
 
 Events are arranged in k chains (totally ordered sequences, e.g. per-thread
 histories). A node is addressed by a (chain, index) pair. Within a chain,
@@ -15,6 +16,8 @@ from __future__ import annotations
 
 import enum
 from typing import NamedTuple
+
+from .sst import SuffixMinArray
 
 
 class NodeId(NamedTuple):
@@ -78,8 +81,8 @@ class PartialOrderBase:
 
     Subclasses maintain self.lengths (list[int], current chain lengths) and
     implement _insert_edge, _delete_edge, _successor, _predecessor, and
-    optionally _grow. The base handles argument validation, the same-chain
-    trivial cases, and reachable()'s reduction to successor().
+    optionally _reachable and _grow. The base handles argument validation and
+    the same-chain trivial cases; _reachable sees only valid cross-chain pairs.
     """
 
     def __init__(self, k: int, lengths: list[int] | tuple[int, ...]):
@@ -145,8 +148,7 @@ class PartialOrderBase:
         self._check_node(v)
         if u.chain == v.chain:
             return u.index <= v.index
-        s = self._successor(u, v.chain)
-        return s is not None and s <= v.index
+        return self._reachable(u, v)
 
     def grow(self, chain: int, new_len: int) -> None:
         """Extend one chain to new_len events (never shrinks)."""
@@ -172,6 +174,54 @@ class PartialOrderBase:
     def _predecessor(self, u: NodeId, t1: int) -> int | None:
         raise NotImplementedError
 
+    def _reachable(self, u: NodeId, v: NodeId) -> bool:
+        # Default: reduce to successor().
+        s = self._successor(u, v.chain)
+        return s is not None and s <= v.index
+
     def _grow(self, chain: int, new_len: int) -> None:
         # Default: nothing beyond the length bump in grow().
         return
+
+
+class ChainPairOrder(PartialOrderBase):
+    """An order kept as one suffix-minima array per ordered chain pair.
+
+    arrays[t1 * k + t2] is indexed by positions of chain t1 (so its capacity
+    follows chain t1's length); what an entry means is up to the subclass.
+    Diagonal slots stay None: same-chain answers are trivial. With
+    cycle_guard set, subclasses refuse an insert that would close a cycle.
+    """
+
+    def __init__(self, k: int, lengths, cycle_guard: bool = False):
+        super().__init__(k, lengths)
+        self.cycle_guard = cycle_guard
+        self.arrays: list[SuffixMinArray | None] = [
+            self._new_array(self.lengths[t1]) if t1 != t2 else None
+            for t1 in range(k)
+            for t2 in range(k)
+        ]
+
+    @staticmethod
+    def _new_array(capacity: int) -> SuffixMinArray:
+        """Build one chain-pair array; subclasses swap the array type here."""
+        return SuffixMinArray(capacity)
+
+    def _grow(self, chain: int, new_len: int) -> None:
+        base = chain * self.k
+        for t in range(self.k):
+            if t != chain:
+                self.arrays[base + t].grow(new_len)
+
+    # -- introspection -----------------------------------------------------------
+
+    def node_count(self) -> int:
+        """Total allocated tree nodes across all chain-pair arrays."""
+        return sum(a.node_count() for a in self.arrays if a is not None)
+
+    def density_max(self) -> int:
+        """Largest live-entry count among the chain-pair arrays."""
+        return max((a.density() for a in self.arrays if a is not None), default=0)
+
+    def height_max(self) -> int:
+        return max((a.height() for a in self.arrays if a is not None), default=0)

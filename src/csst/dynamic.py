@@ -1,10 +1,10 @@
 """Fully dynamic partial order over k chains: edges come and go.
 
-Per ordered chain pair (t1, t2), a sparse suffix-minima array stores only
-DIRECT edges: entry j1 holds the least j2 with a live edge (t1,j1) -> (t2,j2).
-Behind each entry sits an ordered multiset of all live targets for that
-(t1, j1, t2) key, so deleting the current minimum promotes the next one in
-O(log) time. Nothing transitive is cached, which is what makes deletion
+A ChainPairOrder: per ordered chain pair (t1, t2), a sparse suffix-minima
+array stores only DIRECT edges: entry j1 holds the least j2 with a live edge
+(t1,j1) -> (t2,j2). Behind each entry sits an ordered multiset of all live
+targets for that (t1, j1, t2) key, so deleting the current minimum promotes
+the next one in O(log) time. Nothing transitive is cached, which is what makes deletion
 cheap; queries instead run a small fixpoint (the closure) over the k chains:
 
     round 0: best index of each chain reachable from u by one direct edge
@@ -22,38 +22,16 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from .core import (
-    NodeId,
-    PartialOrderBase,
-    cycle_detected,
-    duplicate_edge,
-    missing_edge,
-)
-from .sst import INF, SuffixMinArray
+from .core import ChainPairOrder, NodeId, cycle_detected, duplicate_edge, missing_edge
+from .sst import INF
 
 
-class DynamicPartialOrder(PartialOrderBase):
-    def __init__(
-        self,
-        k: int,
-        lengths,
-        block_threshold: int = 32,
-        cycle_guard: bool = False,
-    ):
-        super().__init__(k, lengths)
-        self.cycle_guard = cycle_guard
-        self.arrays: list[SuffixMinArray | None] = [
-            SuffixMinArray(self.lengths[t1], block_threshold) if t1 != t2 else None
-            for t1 in range(k)
-            for t2 in range(k)
-        ]
+class DynamicPartialOrder(ChainPairOrder):
+    def __init__(self, k: int, lengths, cycle_guard: bool = False):
+        super().__init__(k, lengths, cycle_guard)
         # (t1, j1, t2) -> ascending list of live target indices (the edge
         # multiset backing the array entry).
         self._store: dict[tuple[int, int, int], list[int]] = {}
-        # Cross-chain density bookkeeping: per chain, how many indices have
-        # at least one outgoing cross edge.
-        self._outdeg: list[dict[int, int]] = [dict() for _ in range(k)]
-        self._nsrc = [0] * k
         self.last_closure_rounds = 0
         self.max_closure_rounds = 0
         self._clo: list = [INF] * k
@@ -70,7 +48,7 @@ class DynamicPartialOrder(PartialOrderBase):
             i = bisect_left(lst, j2)
             if i < len(lst) and lst[i] == j2:
                 raise duplicate_edge(u, v)
-        if self.cycle_guard and self._run_fwd(t2, j2, t1, j1):
+        if self.cycle_guard and self._reachable(v, u):
             raise cycle_detected(u, v)
         if lst is None:
             self._store[key] = [j2]
@@ -80,11 +58,6 @@ class DynamicPartialOrder(PartialOrderBase):
             lst.insert(i, j2)
         if j2 < cur:
             self.arrays[t1 * self.k + t2].update(j1, j2)
-        deg = self._outdeg[t1]
-        n = deg.get(j1, 0)
-        if n == 0:
-            self._nsrc[t1] += 1
-        deg[j1] = n + 1
 
     def _delete_edge(self, u: NodeId, v: NodeId) -> None:
         t1, j1 = u
@@ -102,19 +75,6 @@ class DynamicPartialOrder(PartialOrderBase):
             self.arrays[t1 * self.k + t2].update(j1, lst[0] if lst else INF)
         if not lst:
             del self._store[key]
-        deg = self._outdeg[t1]
-        n = deg[j1] - 1
-        if n == 0:
-            del deg[j1]
-            self._nsrc[t1] -= 1
-        else:
-            deg[j1] = n
-
-    def _grow(self, chain: int, new_len: int) -> None:
-        base = chain * self.k
-        for t in range(self.k):
-            if t != chain:
-                self.arrays[base + t].grow(new_len)
 
     # -- closure -----------------------------------------------------------------
 
@@ -232,18 +192,17 @@ class DynamicPartialOrder(PartialOrderBase):
         r = self._clo[t1]
         return None if r < 0 else r
 
-    def reachable(self, u: NodeId, v: NodeId) -> bool:
-        self._check_node(u)
-        self._check_node(v)
-        if u.chain == v.chain:
-            return u.index <= v.index
+    def _reachable(self, u: NodeId, v: NodeId) -> bool:
         return self._run_fwd(u.chain, u.index, v.chain, v.index)
 
     # -- introspection -------------------------------------------------------------
 
     def density(self) -> int:
         """Cross-chain density: max per-chain count of edge-source indices."""
-        return max(self._nsrc)
+        nsrc = [0] * self.k
+        for t1, _j1 in {key[:2] for key in self._store}:
+            nsrc[t1] += 1
+        return max(nsrc)
 
     def direct_minimum(self, t1: int, j1: int, t2: int):
         """Smallest live direct-edge target for the key, inf when none."""
@@ -252,9 +211,3 @@ class DynamicPartialOrder(PartialOrderBase):
 
     def edge_count(self) -> int:
         return sum(len(lst) for lst in self._store.values())
-
-    def node_count(self) -> int:
-        return sum(a.node_count() for a in self.arrays if a is not None)
-
-    def height_max(self) -> int:
-        return max((a.height() for a in self.arrays if a is not None), default=0)

@@ -109,6 +109,17 @@ def parse_oplog(text: str) -> list[OpRecord]:
     return records
 
 
+def _ask(po: PartialOrderBase, rec: OpRecord):
+    """Answer one succ, pred or reach record on po."""
+    a = rec.args
+    u = NodeId(a[0], a[1])
+    if rec.op == "succ":
+        return po.successor(u, a[2])
+    if rec.op == "pred":
+        return po.predecessor(u, a[2])
+    return po.reachable(u, NodeId(a[2], a[3]))
+
+
 def replay(records: list[OpRecord], backend: str) -> list[str]:
     """Apply an op log to one backend; returns the query output lines."""
     if not records or records[0].op != "init":
@@ -122,17 +133,15 @@ def replay(records: list[OpRecord], backend: str) -> list[str]:
             po.insert_edge(NodeId(a[0], a[1]), NodeId(a[2], a[3]))
         elif rec.op == "del":
             po.delete_edge(NodeId(a[0], a[1]), NodeId(a[2], a[3]))
-        elif rec.op == "succ":
-            r = po.successor(NodeId(a[0], a[1]), a[2])
-            out.append(f"succ -> {'inf' if r is None else r}")
-        elif rec.op == "pred":
-            r = po.predecessor(NodeId(a[0], a[1]), a[2])
-            out.append(f"pred -> {'none' if r is None else r}")
-        elif rec.op == "reach":
-            r = po.reachable(NodeId(a[0], a[1]), NodeId(a[2], a[3]))
-            out.append(f"reach -> {'true' if r else 'false'}")
         elif rec.op == "grow":
             po.grow(a[0], a[1])
+        else:
+            r = _ask(po, rec)
+            if rec.op == "reach":
+                r = "true" if r else "false"
+            elif r is None:
+                r = "inf" if rec.op == "succ" else "none"
+            out.append(f"{rec.op} -> {r}")
     return out
 
 
@@ -282,8 +291,10 @@ class DifferentialRun:
         live: list[tuple[int, int, int, int]] = []
         edge_set: set[tuple[int, int, int, int]] = set()
 
-        def record(op: str, *args: int) -> None:
-            self.ops.append(OpRecord(op, args))
+        def record(op: str, *args: int) -> OpRecord:
+            rec = OpRecord(op, args)
+            self.ops.append(rec)
+            return rec
 
         def all_pos():
             yield oracle
@@ -347,33 +358,16 @@ class DifferentialRun:
                 t1 = rng.randrange(k)
                 j1 = rng.randrange(lengths[t1])
                 t2 = rng.randrange(k)
-                u = NodeId(t1, j1)
-                if kind == "succ":
-                    want = oracle.successor(u, t2)
-                    record("succ", t1, j1, t2)
-                    for name, po in impls.items():
-                        got = po.successor(u, t2)
-                        if got != want:
-                            self._fail(name, f"succ {t1} {j1} {t2}", want, got)
-                            return
-                elif kind == "pred":
-                    want = oracle.predecessor(u, t2)
-                    record("pred", t1, j1, t2)
-                    for name, po in impls.items():
-                        got = po.predecessor(u, t2)
-                        if got != want:
-                            self._fail(name, f"pred {t1} {j1} {t2}", want, got)
-                            return
-                else:
-                    j2 = rng.randrange(lengths[t2])
-                    v = NodeId(t2, j2)
-                    want = oracle.reachable(u, v)
-                    record("reach", t1, j1, t2, j2)
-                    for name, po in impls.items():
-                        got = po.reachable(u, v)
-                        if got != want:
-                            self._fail(name, f"reach {t1} {j1} {t2} {j2}", want, got)
-                            return
+                args = (t1, j1, t2)
+                if kind == "reach":
+                    args += (rng.randrange(lengths[t2]),)
+                rec = record(kind, *args)
+                want = _ask(oracle, rec)
+                for name, po in impls.items():
+                    got = _ask(po, rec)
+                    if got != want:
+                        self._fail(name, rec.line(), want, got)
+                        return
                 if dyn is not None:
                     self.observed_rounds = dyn.max_closure_rounds
                     if dyn.max_closure_rounds > k:
@@ -503,12 +497,13 @@ class BenchResult:
 
 def generate_bench_workload(cfg: BenchConfig):
     """Untimed pass: grow the order edge by edge, keeping only additions
-    whose endpoints are unordered both ways (per the backend's own answers),
-    each random draw counting as one attempt. Also pre-draws the query batch
-    so the timed pass does no RNG work."""
+    whose endpoints are unordered both ways, each random draw counting as one
+    attempt. Also pre-draws the query batch so the timed pass does no RNG
+    work. The answers come from csst-inc whatever cfg.backend is: every
+    backend agrees on them, and csst-inc is the cheapest to ask."""
     rng = random.Random(cfg.seed)
     k, ell, w = cfg.k, cfg.ell, cfg.window
-    po = make_backend(cfg.backend, k, [ell] * k)
+    po = IncrementalPartialOrder(k, [ell] * k)
     edges: list[tuple[NodeId, NodeId]] = []
     attempts = cfg.insert_factor * ell
     for _ in range(attempts):

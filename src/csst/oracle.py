@@ -73,11 +73,7 @@ class BruteForcePartialOrder(PartialOrderBase):
                     q.append(w)
         return seen
 
-    def reachable(self, u: NodeId, v: NodeId) -> bool:
-        self._check_node(u)
-        self._check_node(v)
-        if u.chain == v.chain:
-            return u.index <= v.index
+    def _reachable(self, u: NodeId, v: NodeId) -> bool:
         return (v.chain, v.index) in self._visit_fwd((u.chain, u.index))
 
     def _successor(self, u: NodeId, t2: int):

@@ -319,26 +319,20 @@ class SuffixMinArray:
             if _better(val, pos, nd.min, nd.pos):
                 nd.min, nd.pos, val, pos = val, pos, nd.min, nd.pos
             mid = nd.start + (nd.end - nd.start) // 2
-            if pos <= mid:
-                child = nd.left
-                if child is None:
-                    nd.left = self._new_block_for(pos, val)
-                    return
-                if child.start <= pos <= child.end:
-                    nd = child
-                    continue
-                nd.left = self._merge_under_lca(child, val, pos)
-                return
+            on_left = pos <= mid
+            child = nd.left if on_left else nd.right
+            if child is not None and child.start <= pos <= child.end:
+                nd = child
+                continue
+            if child is None:
+                child = self._new_block_for(pos, val)
             else:
-                child = nd.right
-                if child is None:
-                    nd.right = self._new_block_for(pos, val)
-                    return
-                if child.start <= pos <= child.end:
-                    nd = child
-                    continue
-                nd.right = self._merge_under_lca(child, val, pos)
-                return
+                child = self._merge_under_lca(child, val, pos)
+            if on_left:
+                nd.left = child
+            else:
+                nd.right = child
+            return
 
     def _merge_under_lca(self, child: SstNode, val, pos: int) -> SstNode:
         """Glue a compressed child and a new entry under their lowest common
@@ -422,25 +416,23 @@ class SuffixMinArray:
                 if nd.block[off] == INF:
                     return False
                 nd.block[off] = INF
-                if self._recache_block(nd):
-                    if parent is None:
-                        self._root = None
-                    elif on_left:
-                        parent.left = None
-                    else:
-                        parent.right = None
-                return True
+                emptied = self._recache_block(nd)
+                break
             if nd.pos == i:
-                if self._refill(nd):
-                    if parent is None:
-                        self._root = None
-                    elif on_left:
-                        parent.left = None
-                    else:
-                        parent.right = None
-                return True
+                emptied = self._refill(nd)
+                break
             mid = nd.start + (nd.end - nd.start) // 2
             parent = nd
             on_left = i <= mid
             nd = nd.left if on_left else nd.right
-        return False
+        else:
+            return False
+        if emptied:
+            # Unlink the node that now holds nothing.
+            if parent is None:
+                self._root = None
+            elif on_left:
+                parent.left = None
+            else:
+                parent.right = None
+        return True

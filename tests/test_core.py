@@ -3,6 +3,7 @@
 import pytest
 
 from csst import BruteForcePartialOrder, NodeId, PoError, PoErrorKind
+from csst.harness import BACKENDS, make_backend
 
 N = NodeId
 
@@ -54,3 +55,43 @@ def test_oracle_self_consistency():
         for j1 in range(3):
             want = p is not None and j1 <= p
             assert po.reachable(N(t1, j1), N(2, 1)) == want
+
+
+@pytest.mark.parametrize("name", sorted(BACKENDS) + ["oracle"])
+def test_query_contract_is_shared_by_every_order(name):
+    po = make_backend(name, 3, [4, 4, 4])
+    po.insert_edge(N(0, 1), N(1, 2))
+    po.insert_edge(N(1, 3), N(2, 0))
+    ok = N(1, 0)
+    for bad in (N(0, 4), N(3, 0), N(-1, 0), N(0, -1)):
+        for call in (
+            lambda: po.reachable(bad, ok),
+            lambda: po.reachable(ok, bad),
+            lambda: po.successor(bad, 1),
+            lambda: po.predecessor(bad, 1),
+        ):
+            with pytest.raises(PoError) as e:
+                call()
+            assert e.value.kind == PoErrorKind.OUT_OF_RANGE
+            assert e.value.nodes == (bad,)
+    for chain in (3, -1):
+        for call in (lambda: po.successor(ok, chain), lambda: po.predecessor(ok, chain)):
+            with pytest.raises(PoError) as e:
+                call()
+            assert e.value.kind == PoErrorKind.OUT_OF_RANGE
+            assert e.value.nodes == (N(chain, 0),)
+    # Same-chain pairs compare indices, whatever the cross edges say.
+    assert po.reachable(N(1, 0), N(1, 3))
+    assert po.reachable(N(1, 2), N(1, 2))
+    assert not po.reachable(N(1, 3), N(1, 0))
+    # reachable agrees with successor and predecessor on every pair,
+    # including the two-hop (0, 1) -> (1, 2) -> (1, 3) -> (2, 0).
+    assert po.reachable(N(0, 1), N(2, 0))
+    nodes = [N(t, i) for t in range(3) for i in range(4)]
+    for u in nodes:
+        for v in nodes:
+            s = po.successor(u, v.chain)
+            p = po.predecessor(v, u.chain)
+            want = s is not None and s <= v.index
+            assert po.reachable(u, v) == want
+            assert want == (p is not None and u.index <= p)

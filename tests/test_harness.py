@@ -166,14 +166,14 @@ def test_shrinker_keeps_a_minimal_disagreement(monkeypatch):
 def test_bench_rows_are_reproducible_and_backend_agnostic():
     base = dict(k=3, ell=60, window=15, insert_factor=4, queries=150, seed=9)
     rows = {}
-    for name in ("csst-dyn", "vc"):
+    for name in ALL:
         a = run_bench(BenchConfig(backend=name, no_timing=True, **base))
         b = run_bench(BenchConfig(backend=name, no_timing=True, **base))
         assert a.csv() == b.csv()
-        rows[name] = a
-    # backends see the same workload: same accepted edges, same density
-    assert rows["csst-dyn"].inserted_edges == rows["vc"].inserted_edges > 0
-    assert rows["csst-dyn"].density_max == rows["vc"].density_max
+        assert a.inserted_edges > 0
+        rows[name] = a.csv().splitlines()[1].split(",", 1)[1]
+    # backends see the same workload: the rows differ in the backend name only
+    assert len(set(rows.values())) == 1
 
 
 def test_bench_timed_run_matches_untimed_shape():

@@ -51,9 +51,19 @@ def _cmd_replay(args) -> int:
     return 0
 
 
+def _require_at_least(args, **least: int) -> None:
+    """Reject an integer option below its least value, naming the option."""
+    for name, low in least.items():
+        value = getattr(args, name)
+        if value < low:
+            option = "--" + name.replace("_", "-")
+            raise ValueError(f"{option} must be >= {low}, got {value}")
+
+
 def _cmd_fuzz(args) -> int:
     if not 0.0 <= args.deletes <= 1.0:
         raise ValueError("--deletes must be within [0, 1]")
+    _require_at_least(args, runs=0, max_k=2, max_len=1, max_updates=1, max_queries=0)
     opts = FuzzOptions(
         max_k=args.max_k,
         max_len=args.max_len,
@@ -73,6 +83,7 @@ def _cmd_fuzz(args) -> int:
 def _cmd_bench(args) -> int:
     if args.k < 2:
         raise ValueError("bench needs at least two chains")
+    _require_at_least(args, ell=1, window=0, factor=0, queries=0)
     cfg = BenchConfig(
         backend=args.backend,
         k=args.k,

@@ -14,6 +14,24 @@ A shortest chain-to-chain witness path alternates chains at most k times, so
 the closure settles within k rounds; the instance records the rounds of the
 worst query it has served (max_closure_rounds) so that bound can be audited.
 
+Settled closures are memoised between edge changes. A query's round 0 is one
+row per direction: min_suffix(j1) of each array leaving chain t1 (forward),
+argleq(ju) of each array entering chain tu (backward), with the source
+chain's own slot masked to None. On every other chain the least fixpoint
+depends on the source index only through that row, even when the order has
+cycles: a suffix minimum is constant between two indices that give equal
+rows, so a path back into the source chain between them improves nothing.
+So each direction keeps a dict from the masked row (the mask's position
+names the source chain) to the settled closure tuple. A hit answers without
+running a round: last_closure_rounds reads 0 and closure_memo_hits counts
+one. A miss runs the fixpoint and stores its result only when it settled; a
+reachable() that stopped early stores nothing. Both dicts are cleared
+exactly where an array entry changes (an insert below the current direct
+minimum, a delete of it), never on grow() or on edges that leave the
+entries alone. Rows only change where an entry sits, so a chain holds at
+most (its distinct source indices + 1) forward keys and (its distinct
+target indices + 1) backward keys: memory is bounded by the live edges.
+
 Queries share per-instance scratch buffers: callers need exclusive access
 (no concurrent queries, even read-only ones).
 """
@@ -36,6 +54,15 @@ class DynamicPartialOrder(ChainPairOrder):
         self.max_closure_rounds = 0
         self._clo: list = [INF] * k
         self._pend: list = [INF] * k
+        # Per chain, its (other chain, array) pairs: out[t] holds the arrays
+        # of edges leaving chain t, inn[t] those of edges entering it.
+        arrays = self.arrays
+        self._out = [[(t2, arrays[t * k + t2]) for t2 in range(k) if t2 != t] for t in range(k)]
+        self._in = [[(t1, arrays[t1 * k + t]) for t1 in range(k) if t1 != t] for t in range(k)]
+        # Settled closures keyed by their round-0 row; see the module docstring.
+        self._fwd_memo: dict[tuple, tuple] = {}
+        self._bwd_memo: dict[tuple, tuple] = {}
+        self.closure_memo_hits = 0
 
     # -- updates -----------------------------------------------------------------
 
@@ -57,6 +84,8 @@ class DynamicPartialOrder(ChainPairOrder):
             cur = lst[0]
             lst.insert(i, j2)
         if j2 < cur:
+            self._fwd_memo.clear()
+            self._bwd_memo.clear()
             self.arrays[t1 * self.k + t2].update(j1, j2)
 
     def _delete_edge(self, u: NodeId, v: NodeId) -> None:
@@ -72,52 +101,57 @@ class DynamicPartialOrder(ChainPairOrder):
         lst.pop(i)
         if i == 0:
             # The array entry was this minimum; promote the next target.
+            self._fwd_memo.clear()
+            self._bwd_memo.clear()
             self.arrays[t1 * self.k + t2].update(j1, lst[0] if lst else INF)
         if not lst:
             del self._store[key]
 
     # -- closure -----------------------------------------------------------------
 
-    def _run_fwd(self, t1: int, j1: int, tt: int, tj: int) -> bool:
-        """Forward closure from (t1, j1) into the scratch buffer.
+    def _note_rounds(self, rounds: int) -> None:
+        self.last_closure_rounds = rounds
+        if rounds > self.max_closure_rounds:
+            self.max_closure_rounds = rounds
+
+    def _run_fwd(self, t1: int, j1: int, tt: int, tj: int):
+        """Forward closure from (t1, j1): per chain, the least index reached
+        (inf when none). The source chain's slot holds no answer.
 
         With tt >= 0, stops as soon as chain tt is reached at an index <= tj
-        and returns that verdict (closure values only ever decrease, so an
-        early hit is final). With tt = -1, runs to fixpoint and returns True;
-        read per-chain results from self._clo afterwards.
+        (closure values only ever decrease, so an early hit is final) and
+        returns the scratch buffer, settled at tt only. Otherwise returns the
+        settled closure, from the memo when round 0 matches a stored key.
         """
-        k = self.k
-        arr = self.arrays
+        out = self._out
         clo = self._clo
-        base = t1 * k
-        changed = []
-        for t in range(k):
-            if t == t1:
-                clo[t] = j1
-            else:
-                v = arr[base + t].min_suffix(j1)
-                clo[t] = v
-                if v != INF:
-                    changed.append(t)
-        rounds = 0
+        for t, a in out[t1]:
+            clo[t] = a.min_suffix(j1)
         if tt >= 0 and clo[tt] <= tj:
-            self.last_closure_rounds = rounds
-            return True
+            self.last_closure_rounds = 0
+            return clo
+        clo[t1] = None
+        key = tuple(clo)
+        settled = self._fwd_memo.get(key)
+        if settled is not None:
+            self.closure_memo_hits += 1
+            self.last_closure_rounds = 0
+            return settled
+        clo[t1] = j1
+        changed = [t for t, _ in out[t1] if clo[t] != INF]
+        rounds = 0
         pend = self._pend
         while changed:
             rounds += 1
             touched = []
-            for t2p in changed:
-                c2 = clo[t2p]
-                b2 = t2p * k
-                for t1p in range(k):
-                    if t1p == t2p:
-                        continue
-                    v = arr[b2 + t1p].min_suffix(c2)
-                    if v < clo[t1p] and v < pend[t1p]:
-                        if pend[t1p] == INF:
-                            touched.append(t1p)
-                        pend[t1p] = v
+            for t2 in changed:
+                c2 = clo[t2]
+                for t, a in out[t2]:
+                    v = a.min_suffix(c2)
+                    if v < clo[t] and v < pend[t]:
+                        if pend[t] == INF:
+                            touched.append(t)
+                        pend[t] = v
             changed = []
             for t in touched:
                 v = pend[t]
@@ -126,49 +160,46 @@ class DynamicPartialOrder(ChainPairOrder):
                     clo[t] = v
                     changed.append(t)
             if tt >= 0 and clo[tt] <= tj:
-                self.last_closure_rounds = rounds
-                if rounds > self.max_closure_rounds:
-                    self.max_closure_rounds = rounds
-                return True
-        self.last_closure_rounds = rounds
-        if rounds > self.max_closure_rounds:
-            self.max_closure_rounds = rounds
-        return tt < 0
+                self._note_rounds(rounds)
+                return clo
+        self._note_rounds(rounds)
+        clo[t1] = None
+        settled = self._fwd_memo[key] = tuple(clo)
+        return settled
 
-    def _run_bwd(self, tu: int, ju: int) -> None:
-        """Backward closure to (tu, ju): largest index of each chain that
-        reaches it, -1 when none. Results in self._clo."""
-        k = self.k
-        arr = self.arrays
+    def _run_bwd(self, tu: int, ju: int):
+        """Backward closure to (tu, ju): per chain, the largest index that
+        reaches it (-1 when none); the target chain's slot holds no answer.
+        Served from the memo when round 0 matches a stored key."""
+        inn = self._in
         clo = self._clo
-        changed = []
-        for t in range(k):
-            if t == tu:
-                clo[t] = ju
-            else:
-                r = arr[t * k + tu].argleq(ju)
-                if r is None:
-                    clo[t] = -1
-                else:
-                    clo[t] = r
-                    changed.append(t)
+        for t, a in inn[tu]:
+            r = a.argleq(ju)
+            clo[t] = -1 if r is None else r
+        clo[tu] = None
+        key = tuple(clo)
+        settled = self._bwd_memo.get(key)
+        if settled is not None:
+            self.closure_memo_hits += 1
+            self.last_closure_rounds = 0
+            return settled
+        clo[tu] = ju
+        changed = [t for t, _ in inn[tu] if clo[t] >= 0]
         rounds = 0
         pend = self._pend
         while changed:
             rounds += 1
             touched = []
-            for t2p in changed:
-                c2 = clo[t2p]
-                for t1p in range(k):
-                    if t1p == t2p:
-                        continue
-                    r = arr[t1p * k + t2p].argleq(c2)
-                    if r is not None and r > clo[t1p]:
-                        if pend[t1p] == INF:
-                            touched.append(t1p)
-                            pend[t1p] = r
-                        elif r > pend[t1p]:
-                            pend[t1p] = r
+            for t2 in changed:
+                c2 = clo[t2]
+                for t, a in inn[t2]:
+                    r = a.argleq(c2)
+                    if r is not None and r > clo[t]:
+                        if pend[t] == INF:
+                            touched.append(t)
+                            pend[t] = r
+                        elif r > pend[t]:
+                            pend[t] = r
             changed = []
             for t in touched:
                 r = pend[t]
@@ -176,24 +207,23 @@ class DynamicPartialOrder(ChainPairOrder):
                 if r > clo[t]:
                     clo[t] = r
                     changed.append(t)
-        self.last_closure_rounds = rounds
-        if rounds > self.max_closure_rounds:
-            self.max_closure_rounds = rounds
+        self._note_rounds(rounds)
+        clo[tu] = None
+        settled = self._bwd_memo[key] = tuple(clo)
+        return settled
 
     # -- queries -----------------------------------------------------------------
 
     def _successor(self, u: NodeId, t2: int):
-        self._run_fwd(u.chain, u.index, -1, -1)
-        r = self._clo[t2]
+        r = self._run_fwd(u.chain, u.index, -1, -1)[t2]
         return None if r == INF else r
 
     def _predecessor(self, u: NodeId, t1: int):
-        self._run_bwd(u.chain, u.index)
-        r = self._clo[t1]
+        r = self._run_bwd(u.chain, u.index)[t1]
         return None if r < 0 else r
 
     def _reachable(self, u: NodeId, v: NodeId) -> bool:
-        return self._run_fwd(u.chain, u.index, v.chain, v.index)
+        return self._run_fwd(u.chain, u.index, v.chain, v.index)[v.chain] <= v.index
 
     # -- introspection -------------------------------------------------------------
 

@@ -76,12 +76,15 @@ def _better(mn_a, pos_a: int, mn_b, pos_b: int) -> bool:
 class SuffixMinArray:
     """Sparse suffix-minima structure; see module docstring."""
 
-    __slots__ = ("capacity", "block_threshold", "_span", "_B", "_root", "_density")
+    # _top is max(capacity, 1), min_suffix's exclusive index bound: index 0
+    # stays valid on a capacity-0 array (its empty suffix has minimum inf).
+    __slots__ = ("capacity", "block_threshold", "_top", "_span", "_B", "_root", "_density")
 
     def __init__(self, capacity: int, block_threshold: int = 32):
         if capacity < 0:
             raise ValueError("capacity must be >= 0")
         self.capacity = capacity
+        self._top = max(capacity, 1)
         self.block_threshold = block_threshold
         self._B = _pow2_at_most(block_threshold)
         self._span = _pow2_at_least(max(capacity, 1))
@@ -92,7 +95,7 @@ class SuffixMinArray:
 
     def min_suffix(self, i: int):
         """min A[i:]; inf when the suffix holds no entry."""
-        if not 0 <= i < max(self.capacity, 1):
+        if not 0 <= i < self._top:
             raise IndexError(f"index {i} out of range 0..{self.capacity - 1}")
         res = INF
         nd = self._root
@@ -250,6 +253,7 @@ class SuffixMinArray:
             raise ValueError("grow cannot shrink")
         if new_capacity <= self._span:
             self.capacity = new_capacity
+            self._top = max(new_capacity, 1)
             return
         span = self._span
         B = self._B
@@ -281,6 +285,7 @@ class SuffixMinArray:
         self._root = root
         self._span = span
         self.capacity = new_capacity
+        self._top = new_capacity
 
     # -- internals -------------------------------------------------------------
 

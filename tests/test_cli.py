@@ -144,3 +144,29 @@ def test_console_entry_point_runs():
     )
     assert r.returncode == 0
     assert r.stdout.startswith("CONSISTENT")
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["fuzz", "--seed", "1", "--runs", "-3"], "--runs"),
+    (["fuzz", "--seed", "1", "--max-k", "1"], "--max-k"),
+    (["fuzz", "--seed", "1", "--max-len", "0"], "--max-len"),
+    (["fuzz", "--seed", "1", "--max-updates", "0"], "--max-updates"),
+    (["fuzz", "--seed", "1", "--max-queries", "-1"], "--max-queries"),
+    (["bench", "--backend", "csst-dyn", "--k", "2", "--ell", "0", "--seed", "1"], "--ell"),
+    (["bench", "--backend", "csst-dyn", "--k", "2", "--ell", "10", "--seed", "1",
+      "--window", "-1"], "--window"),
+    (["bench", "--backend", "csst-dyn", "--k", "2", "--ell", "10", "--seed", "1",
+      "--factor", "-1"], "--factor"),
+    (["bench", "--backend", "csst-dyn", "--k", "2", "--ell", "10", "--seed", "1",
+      "--queries", "-1"], "--queries"),
+])
+def test_out_of_range_counts_are_rejected_by_name(argv, option, capsys):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {option} must be >= ")
+
+
+def test_fuzz_zero_runs_is_clean(capsys):
+    assert main(["fuzz", "--seed", "1", "--runs", "0"]) == 0
+    assert capsys.readouterr().out == "ok: 0 runs, no disagreements\n"

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csst import DynamicPartialOrder, NodeId, PoError, PoErrorKind
+from csst import BruteForcePartialOrder, DynamicPartialOrder, NodeId, PoError, PoErrorKind
 from csst.sst import INF
 from helpers import RefOrder
 
@@ -172,3 +172,124 @@ def test_agrees_with_naive_order_under_churn(k, data):
                         (t1, j1), (t2, j2)
                     )
     assert po.max_closure_rounds <= k
+
+
+def test_closure_memo_kept_until_an_array_entry_changes():
+    po = DynamicPartialOrder(3, [6, 6, 6])
+    po.insert_edge(N(0, 2), N(1, 3))
+    po.insert_edge(N(1, 4), N(2, 2))
+    assert po.successor(N(0, 0), 2) == 2  # (0,2) -> (1,3) .. (1,4) -> (2,2)
+    assert po.last_closure_rounds > 0
+    assert po.predecessor(N(2, 5), 0) == 2
+    assert po.last_closure_rounds > 0
+    assert po.successor(N(1, 0), 0) is None  # another source chain between
+    assert po.closure_memo_hits == 0
+
+    # (0,1) and (0,0) share their round-0 row (chain 1 at 3, chain 2 at inf),
+    # and (2,3) and (2,5) theirs (chain 0 at none, chain 1 at 4).
+    def hits_from_other_source_indices():
+        before = po.closure_memo_hits
+        assert po.successor(N(0, 1), 2) == 2
+        assert po.last_closure_rounds == 0
+        assert po.predecessor(N(2, 3), 0) == 2
+        assert po.last_closure_rounds == 0
+        assert not po.reachable(N(0, 1), N(2, 1))
+        assert po.last_closure_rounds == 0
+        assert po.closure_memo_hits == before + 3
+
+    hits_from_other_source_indices()
+    po.insert_edge(N(0, 2), N(1, 5))  # above the slot's direct minimum 3
+    hits_from_other_source_indices()
+    po.delete_edge(N(0, 2), N(1, 5))  # a non-minimal copy
+    hits_from_other_source_indices()
+    po.grow(0, 9)
+    po.grow(2, 7)
+    hits_from_other_source_indices()
+
+    # Lowering a direct minimum clears the memo: the next query misses and
+    # sees the new answer.
+    po.insert_edge(N(1, 4), N(2, 1))
+    hits = po.closure_memo_hits
+    assert po.successor(N(0, 1), 2) == 1
+    assert po.last_closure_rounds > 0
+    assert po.predecessor(N(2, 1), 0) == 2
+    assert po.closure_memo_hits == hits
+    # So does deleting one; (1,4) -> (2,2) is promoted in its place.
+    po.delete_edge(N(1, 4), N(2, 1))
+    assert po.successor(N(0, 1), 2) == 2
+    assert po.predecessor(N(2, 1), 0) is None
+    po.delete_edge(N(1, 4), N(2, 2))
+    assert po.successor(N(0, 0), 2) is None
+    assert po.predecessor(N(2, 5), 0) is None
+    assert po.closure_memo_hits == hits
+
+
+def _queries(k, lengths):
+    """Every cross-chain successor, predecessor and reachable query, as
+    (method name, node, argument)."""
+    out = []
+    for t1 in range(k):
+        for j1 in range(lengths[t1]):
+            u = N(t1, j1)
+            for t2 in range(k):
+                if t2 != t1:
+                    out.append(("successor", u, t2))
+                    out.append(("predecessor", u, t2))
+                    out += [("reachable", u, N(t2, j2)) for j2 in range(lengths[t2])]
+    return out
+
+
+def _answers(po, queries, rounds=None):
+    """{query: answer}; with `rounds`, also the closure rounds of each."""
+    out = {}
+    for q in queries:
+        name, u, arg = q
+        out[q] = getattr(po, name)(u, arg)
+        if rounds is not None:
+            rounds.append(po.last_closure_rounds)
+    return out
+
+
+@settings(max_examples=50, deadline=None)
+@given(k=st.integers(2, 4), data=st.data())
+def test_closure_memo_agrees_with_oracle_under_churn_cycles_and_growth(k, data):
+    lengths = [data.draw(st.integers(1, 5)) for _ in range(k)]
+    po = DynamicPartialOrder(k, lengths)  # no cycle guard: cycles allowed
+    oracle = BruteForcePartialOrder(k, lengths)
+    live = []
+    for _ in range(10):
+        op = data.draw(st.integers(0, 9))
+        if op == 0:
+            t = data.draw(st.integers(0, k - 1))
+            new_len = po.lengths[t] + data.draw(st.integers(1, 3))
+            po.grow(t, new_len)
+            oracle.grow(t, new_len)
+        elif op <= 3 and live:
+            u, v = live.pop(data.draw(st.integers(0, len(live) - 1)))
+            po.delete_edge(u, v)
+            oracle.delete_edge(u, v)
+        else:
+            t1 = data.draw(st.integers(0, k - 1))
+            t2 = (t1 + data.draw(st.integers(1, k - 1))) % k
+            u = N(t1, data.draw(st.integers(0, po.lengths[t1] - 1)))
+            v = N(t2, data.draw(st.integers(0, po.lengths[t2] - 1)))
+            if (u, v) in live:
+                continue
+            po.insert_edge(u, v)
+            oracle.insert_edge(u, v)
+            live.append((u, v))
+        queries = _queries(k, po.lengths)
+        want = _answers(oracle, queries)
+        assert _answers(po, queries) == want
+        # The first sweep settled the forward and backward key of every node,
+        # so the second runs no round. Its shuffled order has queries from
+        # different chains and directions follow each other.
+        data.draw(st.randoms(use_true_random=False)).shuffle(queries)
+        rounds = []
+        assert _answers(po, queries, rounds) == want
+        assert not any(rounds)
+        # One key per row, and rows change only where an array entry sits.
+        sources = {key[:2] for key in po._store}
+        targets = {(t2, lst[0]) for (_, _, t2), lst in po._store.items()}
+        assert len(po._fwd_memo) <= len(sources) + k
+        assert len(po._bwd_memo) <= len(targets) + k

@@ -196,3 +196,38 @@ def test_empty_and_capacity_zero():
     assert b.min_suffix(0) == INF
     assert b.min_suffix(4) == INF
     assert b.height() == 0
+
+
+# min_suffix's index bound is kept in a slot beside capacity; these pin that
+# it keeps the checked contract: [0, max(capacity, 1)).
+
+
+def test_min_suffix_zero_on_capacity_zero_is_inf():
+    a = SuffixMinArray(0)
+    assert a.min_suffix(0) == INF
+    with pytest.raises(IndexError):
+        a.min_suffix(1)
+
+
+@pytest.mark.parametrize("cap", [1, 5, 8, 40])
+def test_min_suffix_rejects_minus_one_and_capacity(cap):
+    a = SuffixMinArray(cap)
+    a.update(cap - 1, 3)
+    assert a.min_suffix(cap - 1) == 3
+    with pytest.raises(IndexError):
+        a.min_suffix(-1)
+    with pytest.raises(IndexError):
+        a.min_suffix(cap)
+
+
+@pytest.mark.parametrize("old, new", [(0, 1), (0, 6), (5, 7), (5, 40), (8, 9)])
+def test_min_suffix_accepts_new_top_index_after_grow(old, new):
+    # (5, 7) stays within the power-of-two span, the others widen it.
+    a = SuffixMinArray(old, block_threshold=2)
+    a.grow(new)
+    assert a.min_suffix(new - 1) == INF
+    a.update(new - 1, 4)
+    assert a.min_suffix(0) == 4
+    assert a.min_suffix(new - 1) == 4
+    with pytest.raises(IndexError):
+        a.min_suffix(new)

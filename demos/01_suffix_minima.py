@@ -12,18 +12,16 @@ def shape(arr):
     def walk(nd, depth):
         if nd is None:
             return
-        tag = "block" if nd.block is not None else "node"
-        out.append(f"{'  ' * depth}{tag} [{nd.start},{nd.end}] min={nd.min} pos={nd.pos}")
-        if nd.block is None:
-            walk(nd.left, depth + 1)
-            walk(nd.right, depth + 1)
+        out.append(f"{'  ' * depth}node [{nd.start},{nd.end}] min={nd.min} pos={nd.pos}")
+        walk(nd.left, depth + 1)
+        walk(nd.right, depth + 1)
 
     walk(arr._root, 0)
     return "\n".join(out) or "  (empty)"
 
 
 def main():
-    arr = SuffixMinArray(64, block_threshold=4)
+    arr = SuffixMinArray(64)
     print("empty array over 64 slots:")
     print(shape(arr))
 
@@ -39,9 +37,10 @@ def main():
     for v in (8, 9, 20, 60):
         print(f"  argleq({v}) = {arr.argleq(v)}")
 
-    print("\na dense run collapses into a single block node:")
+    print("\na dense run costs one node per entry, like scattered entries:")
     for i in range(40, 44):
         arr.update(i, 100 + i)
+    print(f"  {arr.density()} entries, {arr.node_count()} nodes, height {arr.height()}")
     print(shape(arr))
 
     print("\ndeleting an entry promotes the best remaining descendant:")

@@ -47,9 +47,6 @@ BACKENDS = {
     "st": PlainStPO,
 }
 
-SUPPORTS_DELETE = {"csst-dyn", "graph"}
-
-
 def make_backend(name: str, k: int, lengths) -> PartialOrderBase:
     """Instantiate a backend by id; "oracle" also names the brute-force
     arbiter, which is not offered as a backend on the command line."""
@@ -120,6 +117,17 @@ def _ask(po: PartialOrderBase, rec: OpRecord):
     return po.reachable(u, NodeId(a[2], a[3]))
 
 
+def _apply(po: PartialOrderBase, rec: OpRecord) -> None:
+    """Apply one ins, del or grow record to po."""
+    a = rec.args
+    if rec.op == "ins":
+        po.insert_edge(NodeId(a[0], a[1]), NodeId(a[2], a[3]))
+    elif rec.op == "del":
+        po.delete_edge(NodeId(a[0], a[1]), NodeId(a[2], a[3]))
+    else:
+        po.grow(a[0], a[1])
+
+
 def replay(records: list[OpRecord], backend: str) -> list[str]:
     """Apply an op log to one backend; returns the query output lines."""
     if not records or records[0].op != "init":
@@ -128,13 +136,8 @@ def replay(records: list[OpRecord], backend: str) -> list[str]:
     po = make_backend(backend, k, list(records[0].args[1:]))
     out: list[str] = []
     for rec in records[1:]:
-        a = rec.args
-        if rec.op == "ins":
-            po.insert_edge(NodeId(a[0], a[1]), NodeId(a[2], a[3]))
-        elif rec.op == "del":
-            po.delete_edge(NodeId(a[0], a[1]), NodeId(a[2], a[3]))
-        elif rec.op == "grow":
-            po.grow(a[0], a[1])
+        if rec.op in ("ins", "del", "grow"):
+            _apply(po, rec)
         else:
             r = _ask(po, rec)
             if rec.op == "reach":
@@ -201,6 +204,13 @@ def parse_trace(text: str) -> tuple[list[TraceEvent], list[tuple[int, int, int, 
 # -- differential fuzzing --------------------------------------------------------------
 
 
+# Chance that an update grows a chain instead of inserting or deleting.
+GROW_PROB = 0.02
+# Joint budget on naive-oracle work per workload, in rough node-visits;
+# keeps the heavy tail of random draws affordable.
+MAX_ORACLE_WORK = 1_500_000
+
+
 @dataclass
 class FuzzOptions:
     max_k: int = 6
@@ -208,16 +218,12 @@ class FuzzOptions:
     max_updates: int = 120
     max_queries: int = 400
     delete_frac: float = 0.0
-    grow_prob: float = 0.02
     # Cheap per-update checks on the dynamic backend (direct-minimum entry
     # against the edge multiset, per-array density against cross-chain density).
     check_invariants: bool = True
     # Per-update height sweep over every sparse array; costs a DFS per array,
     # so large batteries may want it off.
     check_heights: bool = True
-    # Joint budget on naive-oracle work per workload, in rough node-visits;
-    # keeps the heavy tail of random draws affordable.
-    max_oracle_work: int = 1_500_000
 
 
 @dataclass(frozen=True)
@@ -260,7 +266,7 @@ class DifferentialRun:
             self.lengths = [_draw_scaled(rng, opts.max_len) for _ in range(self.k)]
             self._n_upd = rng.randint(1, opts.max_updates)
             per_query = self.k * max(self.lengths) + 1
-            q_cap = max(1, min(opts.max_queries, opts.max_oracle_work // per_query))
+            q_cap = max(1, min(opts.max_queries, MAX_ORACLE_WORK // per_query))
             self._n_q = rng.randint(0, q_cap)
         else:
             self.k = shape.k
@@ -296,9 +302,10 @@ class DifferentialRun:
             self.ops.append(rec)
             return rec
 
-        def all_pos():
-            yield oracle
-            yield from impls.values()
+        def apply_all(rec: OpRecord) -> None:
+            _apply(oracle, rec)
+            for po in impls.values():
+                _apply(po, rec)
 
         steps = n_upd + n_q
         upd_left, q_left = n_upd, n_q
@@ -307,22 +314,18 @@ class DifferentialRun:
             if do_update:
                 upd_left -= 1
                 r = rng.random()
-                if r < opts.grow_prob:
+                if r < GROW_PROB:
                     t = rng.randrange(k)
                     new_len = lengths[t] + rng.randint(1, 16)
-                    for po in all_pos():
-                        po.grow(t, new_len)
+                    apply_all(record("grow", t, new_len))
                     lengths[t] = new_len
-                    record("grow", t, new_len)
                     if opts.check_heights:
                         self._check_tree_bounds(impls)
-                elif live and r < opts.grow_prob + opts.delete_frac:
+                elif live and r < GROW_PROB + opts.delete_frac:
                     e = live.pop(rng.randrange(len(live)))
                     edge_set.discard(e)
                     t1, j1, t2, j2 = e
-                    for po in all_pos():
-                        po.delete_edge(NodeId(t1, j1), NodeId(t2, j2))
-                    record("del", *e)
+                    apply_all(record("del", *e))
                     if dyn is not None and opts.check_invariants:
                         self._check_dyn_invariants(dyn, t1, j1, t2)
                     if self.failure is None and opts.check_heights:
@@ -340,11 +343,9 @@ class DifferentialRun:
                             continue
                         if oracle.reachable(NodeId(t2, j2), NodeId(t1, j1)):
                             continue
-                        for po in all_pos():
-                            po.insert_edge(NodeId(t1, j1), NodeId(t2, j2))
+                        apply_all(record("ins", *e))
                         live.append(e)
                         edge_set.add(e)
-                        record("ins", *e)
                         if dyn is not None and opts.check_invariants:
                             self._check_dyn_invariants(dyn, t1, j1, t2)
                         if self.failure is None and opts.check_heights:

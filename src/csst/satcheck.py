@@ -108,24 +108,39 @@ def check(events: list[TraceEvent], orders=()) -> CheckResult:
                 return None
         return cand
 
-    def assign(i: int) -> bool:
-        if i == len(reads):
-            return _realizable(events, po, node, reads, binding)
-        r = reads[i]
-        for w in writes_by_var.get(r.var, ()):
-            if w.value != r.value:
-                continue
-            cand = try_bind(r, w)
-            if cand is None:
-                continue
-            binding[i] = w
-            if assign(i + 1):
+    def assign() -> bool:
+        """Bind reads in trace order, depth first, each to its same-value
+        writes in trace order; True once a full binding is realizable. An
+        explicit stack keeps long traces off the recursion limit."""
+        cands: list[_Candidate] = []  # cands[i] holds the edges binding reads[i]
+        tried = [0]  # tried[i]: how many of reads[i]'s writes were tried
+        while True:
+            i = len(cands)
+            if i < len(reads):
+                r = reads[i]
+                ws = writes_by_var.get(r.var, ())
+                while tried[i] < len(ws):
+                    w = ws[tried[i]]
+                    tried[i] += 1
+                    if w.value != r.value:
+                        continue
+                    cand = try_bind(r, w)
+                    if cand is not None:
+                        binding[i] = w
+                        cands.append(cand)
+                        tried.append(0)
+                        break
+                if len(cands) > i:
+                    continue
+            elif _realizable(events, po, node, reads, binding):
                 return True
-            binding[i] = None
-            cand.rollback()
-        return False
+            # Nothing left to try at depth i: undo the binding of reads[i - 1].
+            tried.pop()
+            if not cands:
+                return False
+            cands.pop().rollback()
 
-    if assign(0):
+    if assign():
         pairs = [(node[r], node[binding[i]]) for i, r in enumerate(reads)]
         return CheckResult(True, pairs)
     return CheckResult(False, [])
@@ -146,15 +161,17 @@ def _realizable(events, po, node, reads, binding) -> bool:
     eid = {ev: i for i, ev in enumerate(events)}
     bound = {eid[r]: eid[binding[i]] for i, r in enumerate(reads)}
     full = (1 << n) - 1
-    seen: set[tuple[int, tuple[int, ...]]] = set()
-
-    def go(mask: int, lastw: tuple[int, ...]) -> bool:
+    # Depth-first over (scheduled-set, last write per variable) states, with
+    # an explicit stack; each frame is [mask, lastw, next event to try].
+    start = (0, tuple([-1] * len(vars_)))
+    seen = {start}
+    stack = [[*start, 0]]
+    while stack:
+        frame = stack[-1]
+        mask, lastw = frame[0], frame[1]
         if mask == full:
             return True
-        if (mask, lastw) in seen:
-            return False
-        seen.add((mask, lastw))
-        for e in range(n):
+        for e in range(frame[2], n):
             bit = 1 << e
             if mask & bit or pred_mask[e] & ~mask:
                 continue
@@ -162,13 +179,17 @@ def _realizable(events, po, node, reads, binding) -> bool:
             if ev.kind == "r":
                 if lastw[vat[ev.var]] != bound[e]:
                     continue
-                if go(mask | bit, lastw):
-                    return True
+                nxt = lastw
             else:
-                nxt = list(lastw)
-                nxt[vat[ev.var]] = e
-                if go(mask | bit, tuple(nxt)):
-                    return True
-        return False
-
-    return go(0, tuple([-1] * len(vars_)))
+                j = vat[ev.var]
+                nxt = lastw[:j] + (e,) + lastw[j + 1 :]
+            state = (mask | bit, nxt)
+            if state in seen:
+                continue
+            seen.add(state)
+            frame[2] = e + 1
+            stack.append([*state, 0])
+            break
+        else:
+            stack.pop()
+    return False

@@ -7,13 +7,13 @@ two queries:
     argleq(v)     = max { i : A[i] <= v }   (None when no entry qualifies)
 
 Entries with value inf are absent. The tree is lazy and path-compressed:
-nodes exist only where entries do, single-child chains are collapsed, and
-subtrees whose index range is at most the block threshold are stored as flat
-slot arrays instead of deeper nodes. An empty array owns zero nodes.
+nodes exist only where entries do, and single-child chains are collapsed.
+There is one node kind, and each node owns exactly one live entry, so
+node_count() == density() and an empty array owns zero nodes.
 
 Every node covers an aligned power-of-two index range and carries the pair
 (min, pos) where min is the smallest entry value stored in its subtree and
-pos the largest index attaining it; each entry is owned by exactly one node,
+pos the largest index attaining it; that pair is the entry the node owns,
 so a node's pair never duplicates an ancestor's. Both queries descend one
 root-to-leaf path and can stop early as soon as the carried pair already
 decides the answer, which is what makes point operations O(min(log n, d))
@@ -37,24 +37,11 @@ def _pow2_at_least(n: int) -> int:
     return p
 
 
-def _pow2_at_most(n: int) -> int:
-    if n < 1:
-        raise ValueError("block threshold must be >= 1")
-    p = 1
-    while p * 2 <= n:
-        p *= 2
-    return p
-
-
 class SstNode:
-    """One tree node covering the aligned index range [start, end].
+    """One tree node covering the aligned index range [start, end]: the
+    (min, pos) pair it owns plus up to two children."""
 
-    Regular nodes hold a single (min, pos) pair plus up to two children.
-    Block nodes (block is not None) hold one slot per covered index and use
-    (min, pos) as a cache of their best slot; they never have children.
-    """
-
-    __slots__ = ("start", "end", "min", "pos", "left", "right", "block")
+    __slots__ = ("start", "end", "min", "pos", "left", "right")
 
     def __init__(self, start: int, end: int, mn, pos: int):
         self.start = start
@@ -63,7 +50,6 @@ class SstNode:
         self.pos = pos
         self.left: SstNode | None = None
         self.right: SstNode | None = None
-        self.block: list | None = None
 
 
 def _better(mn_a, pos_a: int, mn_b, pos_b: int) -> bool:
@@ -78,15 +64,13 @@ class SuffixMinArray:
 
     # _top is max(capacity, 1), min_suffix's exclusive index bound: index 0
     # stays valid on a capacity-0 array (its empty suffix has minimum inf).
-    __slots__ = ("capacity", "block_threshold", "_top", "_span", "_B", "_root", "_density")
+    __slots__ = ("capacity", "_top", "_span", "_root", "_density")
 
-    def __init__(self, capacity: int, block_threshold: int = 32):
+    def __init__(self, capacity: int):
         if capacity < 0:
             raise ValueError("capacity must be >= 0")
         self.capacity = capacity
         self._top = max(capacity, 1)
-        self.block_threshold = block_threshold
-        self._B = _pow2_at_most(block_threshold)
         self._span = _pow2_at_least(max(capacity, 1))
         self._root: SstNode | None = None
         self._density = 0
@@ -105,14 +89,6 @@ class SuffixMinArray:
                 # this subtree can beat it.
                 m = nd.min
                 return m if m < res else res
-            if nd.block is not None:
-                blk = nd.block
-                lo = i - nd.start if i > nd.start else 0
-                for off in range(lo, len(blk)):
-                    v = blk[off]
-                    if v < res:
-                        res = v
-                return res
             mid = nd.start + (nd.end - nd.start) // 2
             if i <= mid:
                 r = nd.right
@@ -128,16 +104,6 @@ class SuffixMinArray:
         best = -1
         nd = self._root
         while nd is not None and nd.min <= v:
-            if nd.block is not None:
-                blk = nd.block
-                for off in range(len(blk) - 1, -1, -1):
-                    u = blk[off]
-                    if u != INF and u <= v:
-                        cand = nd.start + off
-                        if cand > best:
-                            best = cand
-                        break
-                break
             if nd.pos > best:
                 best = nd.pos
             l, r = nd.left, nd.right
@@ -174,7 +140,7 @@ class SuffixMinArray:
         return h
 
     def node_count(self) -> int:
-        """Number of allocated nodes; a block counts as one node."""
+        """Number of allocated nodes, found by walking the tree."""
         if self._root is None:
             return 0
         n = 0
@@ -194,8 +160,6 @@ class SuffixMinArray:
             raise IndexError(f"index {i} out of range 0..{self.capacity - 1}")
         nd = self._root
         while nd is not None and nd.start <= i <= nd.end:
-            if nd.block is not None:
-                return nd.block[i - nd.start]
             if nd.pos == i:
                 return nd.min
             mid = nd.start + (nd.end - nd.start) // 2
@@ -210,16 +174,11 @@ class SuffixMinArray:
         stack = [self._root]
         while stack:
             nd = stack.pop()
-            if nd.block is not None:
-                for off, v in enumerate(nd.block):
-                    if v != INF:
-                        out[nd.start + off] = v
-            else:
-                out[nd.pos] = nd.min
-                if nd.left is not None:
-                    stack.append(nd.left)
-                if nd.right is not None:
-                    stack.append(nd.right)
+            out[nd.pos] = nd.min
+            if nd.left is not None:
+                stack.append(nd.left)
+            if nd.right is not None:
+                stack.append(nd.right)
         return out
 
     # -- updates -------------------------------------------------------------
@@ -236,16 +195,9 @@ class SuffixMinArray:
             return
         self._density += 1
         if self._root is None:
-            span = self._span
-            if span <= self._B:
-                nd = SstNode(0, span - 1, v, i)
-                nd.block = [INF] * span
-                nd.block[i] = v
-            else:
-                nd = SstNode(0, span - 1, v, i)
-            self._root = nd
-            return
-        self._insert(v, i)
+            self._root = SstNode(0, self._span - 1, v, i)
+        else:
+            self._insert(v, i)
 
     def grow(self, new_capacity: int) -> None:
         """Raise capacity; existing entries keep their indices and values."""
@@ -256,32 +208,16 @@ class SuffixMinArray:
             self._top = max(new_capacity, 1)
             return
         span = self._span
-        B = self._B
         root = self._root
         while span < new_capacity:
-            if root is None:
-                span *= 2
-            elif root.block is not None and span * 2 <= B:
-                root.block.extend([INF] * span)
-                root.end = span * 2 - 1
-                span *= 2
-            elif root.block is not None:
-                # Block roots here have size exactly B; demote under a fresh
-                # regular root that takes over the block's best pair.
-                new_root = SstNode(0, span * 2 - 1, root.min, root.pos)
-                root.block[root.pos - root.start] = INF
-                if self._recache_block(root):
-                    new_root.left = None
-                else:
-                    new_root.left = root
-                root = new_root
-                span *= 2
-            else:
+            if root is not None:
+                # The new root takes over the old root's pair, and the old
+                # root refills from below (or goes, if that emptied it).
                 new_root = SstNode(0, span * 2 - 1, root.min, root.pos)
                 if not self._refill(root):
                     new_root.left = root
                 root = new_root
-                span *= 2
+            span *= 2
         self._root = root
         self._span = span
         self.capacity = new_capacity
@@ -289,38 +225,11 @@ class SuffixMinArray:
 
     # -- internals -------------------------------------------------------------
 
-    def _recache_block(self, nd: SstNode) -> bool:
-        """Refresh a block's (min, pos) cache; True when the block is empty."""
-        m = INF
-        p = -1
-        for off, v in enumerate(nd.block):
-            if v != INF and v <= m:
-                m = v
-                p = off
-        if p < 0:
-            return True
-        nd.min = m
-        nd.pos = nd.start + p
-        return False
-
-    def _new_block_for(self, pos: int, val) -> SstNode:
-        B = self._B
-        lo = (pos // B) * B
-        nd = SstNode(lo, lo + B - 1, val, pos)
-        nd.block = [INF] * B
-        nd.block[pos - lo] = val
-        return nd
-
     def _insert(self, v, i: int) -> None:
         """Place a fresh entry; the root exists and covers the whole span."""
         nd = self._root
         val, pos = v, i
         while True:
-            if nd.block is not None:
-                nd.block[pos - nd.start] = val
-                if _better(val, pos, nd.min, nd.pos):
-                    nd.min, nd.pos = val, pos
-                return
             if _better(val, pos, nd.min, nd.pos):
                 nd.min, nd.pos, val, pos = val, pos, nd.min, nd.pos
             mid = nd.start + (nd.end - nd.start) // 2
@@ -330,7 +239,7 @@ class SuffixMinArray:
                 nd = child
                 continue
             if child is None:
-                child = self._new_block_for(pos, val)
+                child = SstNode(pos, pos, val, pos)
             else:
                 child = self._merge_under_lca(child, val, pos)
             if on_left:
@@ -347,8 +256,7 @@ class SuffixMinArray:
         while not (lo <= pos <= lo + size - 1):
             size *= 2
             lo = (lo // size) * size
-        # Minimality of the doubling puts child and pos in different halves,
-        # and size >= 2 * block size, so the LCA is always a regular node.
+        # Minimality of the doubling puts child and pos in different halves.
         lca = SstNode(lo, lo + size - 1, 0, 0)
         mid = lo + (size - 1) // 2
         child_on_left = child.start <= mid
@@ -360,15 +268,8 @@ class SuffixMinArray:
                 lca.right = child
         else:
             lca.min, lca.pos = child.min, child.pos
-            kept: SstNode | None = child
-            if child.block is not None:
-                child.block[child.pos - child.start] = INF
-                if self._recache_block(child):
-                    kept = None
-            else:
-                if self._refill(child):
-                    kept = None
-            fresh = self._new_block_for(pos, val)
+            kept = None if self._refill(child) else child
+            fresh = SstNode(pos, pos, val, pos)
             if child_on_left:
                 lca.left = kept
                 lca.right = fresh
@@ -399,14 +300,6 @@ class SuffixMinArray:
                     parent.right = None
                 return False
             cur.min, cur.pos = best.min, best.pos
-            if best.block is not None:
-                best.block[best.pos - best.start] = INF
-                if self._recache_block(best):
-                    if cur.left is best:
-                        cur.left = None
-                    else:
-                        cur.right = None
-                return False
             parent, cur = cur, best
 
     def _delete_entry(self, i: int) -> bool:
@@ -416,15 +309,7 @@ class SuffixMinArray:
         parent: SstNode | None = None
         on_left = False
         while nd is not None and nd.start <= i <= nd.end:
-            if nd.block is not None:
-                off = i - nd.start
-                if nd.block[off] == INF:
-                    return False
-                nd.block[off] = INF
-                emptied = self._recache_block(nd)
-                break
             if nd.pos == i:
-                emptied = self._refill(nd)
                 break
             mid = nd.start + (nd.end - nd.start) // 2
             parent = nd
@@ -432,7 +317,7 @@ class SuffixMinArray:
             nd = nd.left if on_left else nd.right
         else:
             return False
-        if emptied:
+        if self._refill(nd):
             # Unlink the node that now holds nothing.
             if parent is None:
                 self._root = None

@@ -60,7 +60,7 @@ def test_acceptance_1_pinned_examples_run_fast():
         test_sst.test_small_dense_array_queries,
         test_sst.test_lazy_build_step_by_step,
         test_sst.test_query_stops_early_when_carried_pair_decides,
-        test_sst.test_dense_run_collapses_into_one_block,
+        test_sst.test_delete_and_refill_promotes_best_descendant,
         test_sst.test_height_reaches_but_never_exceeds_log_bound,
         test_incremental.test_single_lookup_queries_on_running_example,
         test_incremental.test_insert_folds_transitive_consequences,

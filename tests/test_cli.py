@@ -136,6 +136,17 @@ def test_satcheck_malformed_trace(tmp_path, capsys):
     assert main(["satcheck", str(p)]) == 1
 
 
+def test_satcheck_long_thread_gets_a_verdict(tmp_path, capsys):
+    # One write and 1100 reads of it on one thread: deeper than the default
+    # recursion limit in both the binding search and the interleaving search.
+    p = tmp_path / "t.trace"
+    p.write_text("e 0 0 w x 1\n" + "".join(f"e 0 {i} r x 1\n" for i in range(1, 1101)))
+    assert main(["satcheck", str(p)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "CONSISTENT"
+    assert out[1:] == [f"read 0 {i} from 0 0" for i in range(1, 1101)]
+
+
 def test_console_entry_point_runs():
     r = subprocess.run(
         [sys.executable, "-m", "csst", "satcheck", str(DATA / "two_candidates.trace")],

@@ -49,6 +49,21 @@ def test_same_thread_read_sees_program_order():
     assert check(events).consistent
 
 
+def test_interleaving_search_rejects_a_saturated_binding():
+    # Reads bind in file order: (0, 2) takes (0, 0) with nothing to force,
+    # then (0, 1) takes (1, 0), which orders (0, 0) before (1, 0). That puts
+    # the x=1 write between (0, 0) and its reader (0, 2); only the final
+    # interleaving search sees it.
+    events = [
+        _ev(0, 2, "r", "x", 2),
+        _ev(0, 0, "w", "x", 2),
+        _ev(0, 1, "r", "x", 1),
+        _ev(1, 0, "w", "x", 1),
+    ]
+    assert not interleaving_consistent(events)
+    assert not check(events).consistent
+
+
 def test_two_reads_may_need_different_writes():
     events = [
         _ev(0, 0, "w", "x", 1),

@@ -25,10 +25,10 @@ def test_small_dense_array_queries():
 
 
 def test_lazy_build_step_by_step():
-    # capacity 8, block threshold 1: every node carries exactly one entry,
-    # so the whole lazy-creation / swap / lowest-common-ancestor dance is
-    # visible in the node layout.
-    a = SuffixMinArray(8, block_threshold=1)
+    # capacity 8: every node carries exactly one entry, so the whole
+    # lazy-creation / swap / lowest-common-ancestor dance is visible in the
+    # node layout.
+    a = SuffixMinArray(8)
 
     a.update(2, 65)
     assert tree_shape(a) == {(0, 7): (65, 2)}
@@ -58,7 +58,7 @@ def test_query_stops_early_when_carried_pair_decides():
     # Dense 8-slot array whose left half bottoms out at 42@1 and 59@3; a
     # suffix query from 2 must be answered at depth 1 without reaching any
     # deeper node.
-    a = SuffixMinArray(8, block_threshold=1)
+    a = SuffixMinArray(8)
     for i, v in enumerate([77, 42, 65, 59, 80, 81, 82, 100]):
         a.update(i, v)
     shape = tree_shape(a)
@@ -73,31 +73,10 @@ def test_query_stops_early_when_carried_pair_decides():
     assert a.min_suffix(2) == 59
 
 
-def test_dense_run_collapses_into_one_block():
-    # capacity 64, block threshold 8: a sparse entry at 1 plus a dense run
-    # in 32..39 must produce exactly three nodes: the root pair, one block
-    # holding 50@1, and one block holding the whole run (minus 10@33, which
-    # the root carries).
-    a = SuffixMinArray(64, block_threshold=8)
-    a.update(1, 50)
-    for i, v in [(32, 11), (33, 10), (34, 15), (36, 13), (37, 22), (38, 24), (39, 29)]:
-        a.update(i, v)
-    assert a.node_count() == 3
-    assert a.density() == 8
-    shape = tree_shape(a)
-    assert shape[(0, 63)] == (10, 33)
-    assert shape[(0, 7)] == (50, 1)
-    assert shape[(32, 39)] == (11, 32)
-    assert a.min_suffix(0) == 10
-    assert a.min_suffix(34) == 13
-    assert a.argleq(11) == 33
-    assert a.height() == 1
-
-
 def test_height_reaches_but_never_exceeds_log_bound():
     # Descending values at ascending indices build the worst-case chain:
     # height equals the log bound exactly.
-    a = SuffixMinArray(8, block_threshold=1)
+    a = SuffixMinArray(8)
     for i, v in enumerate([50, 40, 30, 20]):
         a.update(i, v)
     assert a.height() == 3
@@ -105,7 +84,7 @@ def test_height_reaches_but_never_exceeds_log_bound():
 
 
 def test_delete_and_refill_promotes_best_descendant():
-    a = SuffixMinArray(8, block_threshold=1)
+    a = SuffixMinArray(8)
     for i, v in enumerate([77, 42, 65, 59]):
         a.update(i, v)
     a.update(1, INF)  # drop the global minimum
@@ -117,7 +96,7 @@ def test_delete_and_refill_promotes_best_descendant():
 
 
 def test_delete_everything_leaves_empty_tree():
-    a = SuffixMinArray(16, block_threshold=4)
+    a = SuffixMinArray(16)
     for i, v in [(3, 9), (7, 2), (8, 5), (15, 1)]:
         a.update(i, v)
     for i in [7, 15, 3, 8]:
@@ -139,7 +118,7 @@ def test_update_overwrites_in_place():
 
 
 def test_value_ties_prefer_larger_index():
-    a = SuffixMinArray(8, block_threshold=1)
+    a = SuffixMinArray(8)
     a.update(1, 4)
     a.update(5, 4)
     assert a.argleq(4) == 5
@@ -150,7 +129,7 @@ def test_value_ties_prefer_larger_index():
 
 
 def test_grow_preserves_entries():
-    a = SuffixMinArray(4, block_threshold=1)
+    a = SuffixMinArray(4)
     for i, v in enumerate([6, 9, 8, 10]):
         a.update(i, v)
     a.grow(11)
@@ -160,16 +139,6 @@ def test_grow_preserves_entries():
     assert a.min_suffix(1) == 3
     assert a.min_suffix(10) == INF
     assert a.argleq(3) == 9
-
-
-def test_grow_extends_block_root_in_place():
-    a = SuffixMinArray(2, block_threshold=32)
-    a.update(0, 5)
-    a.grow(8)
-    a.update(6, 2)
-    assert a.node_count() == 1  # still a single block
-    assert a.min_suffix(0) == 2
-    assert a.entries() == {0: 5, 6: 2}
 
 
 def test_bad_arguments_rejected():
@@ -223,7 +192,7 @@ def test_min_suffix_rejects_minus_one_and_capacity(cap):
 @pytest.mark.parametrize("old, new", [(0, 1), (0, 6), (5, 7), (5, 40), (8, 9)])
 def test_min_suffix_accepts_new_top_index_after_grow(old, new):
     # (5, 7) stays within the power-of-two span, the others widen it.
-    a = SuffixMinArray(old, block_threshold=2)
+    a = SuffixMinArray(old)
     a.grow(new)
     assert a.min_suffix(new - 1) == INF
     a.update(new - 1, 4)

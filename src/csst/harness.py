@@ -27,6 +27,7 @@ derive all randomness from `random.Random` seeded by explicit integers.
 
 from __future__ import annotations
 
+import gc
 import math
 import random
 import time
@@ -538,11 +539,16 @@ def run_bench(cfg: BenchConfig) -> BenchResult:
     edges, qs, density_max = generate_bench_workload(cfg)  # warm-up pass
     po = make_backend(cfg.backend, cfg.k, [cfg.ell] * cfg.k)
     ins = po.insert_edge
+    # The warm-up pass leaves ~3 objects per query behind; collect now so that
+    # a full collection of the heap (about 150 ms with 200,000 queries) does
+    # not land inside a timed loop that may run only a few thousand inserts.
+    gc.collect()
     t0 = time.perf_counter_ns()
     for u, v in edges:
         ins(u, v)
     t1 = time.perf_counter_ns()
     reach = po.reachable
+    gc.collect()
     t2 = time.perf_counter_ns()
     for u, v in qs:
         reach(u, v)

@@ -3,14 +3,33 @@
 A ChainPairOrder: one sparse suffix-minima array per ordered chain pair
 (t1, t2) stores, for each source index j1, the least index of chain t2
 already known reachable from (t1, j1). The arrays are kept transitively
-closed: every insert folds the new edge's consequences into all k*(k-1)
-arrays immediately (at most 2k + 2k^2 array operations), after which
+closed, so
 
     successor(u, t2)   = one min_suffix lookup (reachable too)
     predecessor(u, t1) = one argleq lookup
 
-Edges can only be added. Re-inserting an edge that is already implied is a
-no-op. delete_edge always raises DeleteUnsupported.
+Inserting u -> v folds the edge's consequences in at once, in three steps:
+
+1. Implied edge. If u already reaches v, return: one probe, no write.
+2. Columns. For each other chain t, v's successor s on t is new to u's
+   predecessors only where u itself does not reach (t, s) yet; whatever
+   reaches u reaches what u reaches. Each live column is written into
+   u's own row, then (j1, j2) is written.
+3. Rows. For each other chain ta, u's predecessor p on ta gains nothing if
+   it already reaches v, because it then reaches every successor of v too.
+   A live row is written at v and probed at the live columns only.
+
+By closure every probe skipped is one that could not write, so the set of
+writes is exactly that of probing every (predecessor, successor) pair of
+the frontier, at a fraction of the probes. On an acyclic order an insert
+makes at most 1 + (k-1)^2 min_suffix, k-1 argleq and 1 + (k-1)(k-2) update
+calls (2(k-1)^2 + 2 array operations), plus one probe for cycle_guard.
+
+The closure argument needs an acyclic order, and so do the answers: after
+an insert that closes a cycle (possible only without cycle_guard) they are
+undefined and can be wrong. Edges can only be added. Re-inserting an edge
+that is already implied is a no-op. delete_edge always raises
+DeleteUnsupported.
 """
 
 from __future__ import annotations
@@ -32,37 +51,57 @@ class IncrementalPartialOrder(ChainPairOrder):
         t2, j2 = v
         if self.cycle_guard and self._reachable(v, u):
             raise cycle_detected(u, v)
-        # Bind the frontier first: per chain, the latest predecessor of u and
-        # the earliest successor of v. Folding the edge in afterwards cannot
-        # disturb these bindings (new entries never land in the suffixes and
-        # prefixes they were read from, as long as the order stays acyclic).
-        preds = [0] * k
-        succs = [0] * k
+        uv = arr[t1 * k + t2]
+        if uv.min_suffix(j1) <= j2:
+            return  # 1. implied: u, and so whatever reaches u, reaches v
+        # 2. Columns: v's successor s on chain t. Whatever reaches u reaches
+        # what u reaches, so (t, s) is new to u's predecessors only where u
+        # itself misses it; u's own row takes it then.
+        urow = t1 * k
+        vrow = t2 * k
+        cols = []
         for t in range(k):
-            if t == t1:
-                preds[t] = j1
-            else:
-                a = arr[t * k + t1]
-                p = a.argleq(j1)
-                preds[t] = -1 if p is None else p
             if t == t2:
-                succs[t] = j2
-            else:
-                succs[t] = arr[t2 * k + t].min_suffix(j2)
-        for ta in range(k):
-            ja = preds[ta]
-            if ja < 0:
                 continue
-            base = ta * k
-            for tb in range(k):
-                if tb == ta:
+            s = arr[vrow + t].min_suffix(j2)
+            if s == INF:
+                continue
+            if t == t1:
+                if j1 <= s:
                     continue
-                jb = succs[tb]
-                if jb == INF:
+            else:
+                a = arr[urow + t]
+                if a.min_suffix(j1) <= s:
                     continue
-                a = arr[base + tb]
-                if a.min_suffix(ja) > jb:
-                    a.update(ja, jb)
+                a.update(j1, s)
+            cols.append((t, s))
+        uv.update(j1, j2)
+        # 3. Rows: u's predecessor p on chain ta. A p that reaches v reaches
+        # every successor of v, so only rows that miss v are written, and
+        # only at live columns. On a closed acyclic order no skipped probe
+        # could have written: the writes are those of probing every pair.
+        # Each array is read before this insert writes it, so every read
+        # sees the frontier as it was before the insert.
+        for ta in range(k):
+            if ta == t1:
+                continue
+            row = ta * k
+            p = arr[row + t1].argleq(j1)
+            if p is None:
+                continue
+            if ta == t2:
+                if p <= j2:
+                    continue
+            else:
+                a = arr[row + t2]
+                if a.min_suffix(p) <= j2:
+                    continue
+                a.update(p, j2)
+            for tb, s in cols:
+                if tb != ta:
+                    a = arr[row + tb]
+                    if a.min_suffix(p) > s:
+                        a.update(p, s)
 
     def _delete_edge(self, u: NodeId, v: NodeId) -> None:
         raise delete_unsupported(u, v)

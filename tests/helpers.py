@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from collections import deque
 
+from csst.sst import SuffixMinArray
+
 INF = math.inf
 
 
@@ -36,6 +38,57 @@ class RefArray:
 
     def density(self) -> int:
         return len(self.data)
+
+
+class RefFold:
+    """csst-inc's arrays under the unpruned fold: every insert binds the
+    whole frontier, then probes every (ta, tb) pair of it.
+
+    The reference for which array writes an insert makes; csst-inc prunes
+    the probes, not the writes.
+    """
+
+    def __init__(self, k: int, lengths):
+        self.k = k
+        self.arrays = [
+            SuffixMinArray(lengths[t1]) if t1 != t2 else None
+            for t1 in range(k)
+            for t2 in range(k)
+        ]
+
+    def grow(self, chain: int, new_len: int) -> None:
+        for t in range(self.k):
+            if t != chain:
+                self.arrays[chain * self.k + t].grow(new_len)
+
+    def insert_edge(self, u, v) -> None:
+        k = self.k
+        arr = self.arrays
+        t1, j1 = u
+        t2, j2 = v
+        preds = [0] * k
+        succs = [0] * k
+        for t in range(k):
+            if t == t1:
+                preds[t] = j1
+            else:
+                p = arr[t * k + t1].argleq(j1)
+                preds[t] = -1 if p is None else p
+            if t == t2:
+                succs[t] = j2
+            else:
+                succs[t] = arr[t2 * k + t].min_suffix(j2)
+        for ta in range(k):
+            ja = preds[ta]
+            if ja < 0:
+                continue
+            for tb in range(k):
+                jb = succs[tb]
+                if tb == ta or jb == INF:
+                    continue
+                a = arr[ta * k + tb]
+                if a.min_suffix(ja) > jb:
+                    a.update(ja, jb)
 
 
 def tree_shape(arr) -> dict[tuple[int, int], tuple]:

@@ -341,9 +341,6 @@ class PlainStPO(IncrementalPartialOrder):
     the footprint is what differs, which node_count() exposes.
     """
 
-    def __init__(self, k: int, lengths):
-        super().__init__(k, lengths)
-
     @staticmethod
     def _new_array(capacity: int) -> DenseMinArray:
         return DenseMinArray(capacity)

@@ -80,8 +80,8 @@ class PartialOrderBase:
     """Common validation and trivia shared by every order implementation.
 
     Subclasses maintain self.lengths (list[int], current chain lengths) and
-    implement _insert_edge, _delete_edge, _successor, _predecessor, and
-    optionally _reachable and _grow. The base handles argument validation and
+    implement _insert_edge, _delete_edge, _successor, _predecessor,
+    _reachable and optionally _grow. The base handles argument validation and
     the same-chain trivial cases; _reachable sees only valid cross-chain pairs.
     """
 
@@ -116,7 +116,7 @@ class PartialOrderBase:
         self._insert_edge(u, v)
 
     def delete_edge(self, u: NodeId, v: NodeId) -> None:
-        """Remove one previously inserted copy of the edge u -> v."""
+        """Remove the previously inserted edge u -> v."""
         self._check_node(u)
         self._check_node(v)
         if u.chain == v.chain:
@@ -175,9 +175,7 @@ class PartialOrderBase:
         raise NotImplementedError
 
     def _reachable(self, u: NodeId, v: NodeId) -> bool:
-        # Default: reduce to successor().
-        s = self._successor(u, v.chain)
-        return s is not None and s <= v.index
+        raise NotImplementedError
 
     def _grow(self, chain: int, new_len: int) -> None:
         # Default: nothing beyond the length bump in grow().
@@ -189,13 +187,11 @@ class ChainPairOrder(PartialOrderBase):
 
     arrays[t1 * k + t2] is indexed by positions of chain t1 (so its capacity
     follows chain t1's length); what an entry means is up to the subclass.
-    Diagonal slots stay None: same-chain answers are trivial. With
-    cycle_guard set, subclasses refuse an insert that would close a cycle.
+    Diagonal slots stay None: same-chain answers are trivial.
     """
 
-    def __init__(self, k: int, lengths, cycle_guard: bool = False):
+    def __init__(self, k: int, lengths):
         super().__init__(k, lengths)
-        self.cycle_guard = cycle_guard
         self.arrays: list[SuffixMinArray | None] = [
             self._new_array(self.lengths[t1]) if t1 != t2 else None
             for t1 in range(k)

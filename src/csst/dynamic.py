@@ -2,16 +2,20 @@
 
 A ChainPairOrder: per ordered chain pair (t1, t2), a sparse suffix-minima
 array stores only DIRECT edges: entry j1 holds the least j2 with a live edge
-(t1,j1) -> (t2,j2). Behind each entry sits an ordered multiset of all live
-targets for that (t1, j1, t2) key, so deleting the current minimum promotes
-the next one in O(log) time. Nothing transitive is cached, which is what makes deletion
+(t1,j1) -> (t2,j2). Behind each entry sits an ascending list of the
+distinct live targets for that (t1, j1, t2) key (a repeated insert raises
+DuplicateEdge), so deleting the current minimum promotes the next one in
+O(log) time. Nothing transitive is cached, which is what makes deletion
 cheap; queries instead run a small fixpoint (the closure) over the k chains:
 
     round 0: best index of each chain reachable from u by one direct edge
-    round r: extend by one more cross-chain hop, reading round r-1's values
+    round r: one more cross-chain hop from each chain improved in round r-1
 
-A shortest chain-to-chain witness path alternates chains at most k times, so
-the closure settles within k rounds; the instance records the rounds of the
+Each improvement is written in place at once. Every value written is an
+index actually reached and values only improve, so a round that reads one
+found earlier in the same round only settles sooner. A shortest
+chain-to-chain witness path alternates chains at most k times, so the
+closure settles within k rounds; the instance records the rounds of the
 worst query it has served (max_closure_rounds) so that bound can be audited.
 
 Settled closures are memoised between edge changes. A query's round 0 is one
@@ -45,15 +49,18 @@ from .sst import INF
 
 
 class DynamicPartialOrder(ChainPairOrder):
+    """With cycle_guard set, an insert that would close a cycle raises
+    CycleDetected; the test costs one closure per insert."""
+
     def __init__(self, k: int, lengths, cycle_guard: bool = False):
-        super().__init__(k, lengths, cycle_guard)
-        # (t1, j1, t2) -> ascending list of live target indices (the edge
-        # multiset backing the array entry).
+        super().__init__(k, lengths)
+        self.cycle_guard = cycle_guard
+        # (t1, j1, t2) -> ascending list of the distinct live target indices
+        # (the direct edges backing the array entry).
         self._store: dict[tuple[int, int, int], list[int]] = {}
         self.last_closure_rounds = 0
         self.max_closure_rounds = 0
         self._clo: list = [INF] * k
-        self._pend: list = [INF] * k
         # Per chain, its (other chain, array) pairs: out[t] holds the arrays
         # of edges leaving chain t, inn[t] those of edges entering it.
         arrays = self.arrays
@@ -140,25 +147,18 @@ class DynamicPartialOrder(ChainPairOrder):
         clo[t1] = j1
         changed = [t for t, _ in out[t1] if clo[t] != INF]
         rounds = 0
-        pend = self._pend
         while changed:
             rounds += 1
-            touched = []
+            improved = []
             for t2 in changed:
                 c2 = clo[t2]
                 for t, a in out[t2]:
                     v = a.min_suffix(c2)
-                    if v < clo[t] and v < pend[t]:
-                        if pend[t] == INF:
-                            touched.append(t)
-                        pend[t] = v
-            changed = []
-            for t in touched:
-                v = pend[t]
-                pend[t] = INF
-                if v < clo[t]:
-                    clo[t] = v
-                    changed.append(t)
+                    if v < clo[t]:
+                        clo[t] = v
+                        if t not in improved:
+                            improved.append(t)
+            changed = improved
             if tt >= 0 and clo[tt] <= tj:
                 self._note_rounds(rounds)
                 return clo
@@ -186,27 +186,18 @@ class DynamicPartialOrder(ChainPairOrder):
         clo[tu] = ju
         changed = [t for t, _ in inn[tu] if clo[t] >= 0]
         rounds = 0
-        pend = self._pend
         while changed:
             rounds += 1
-            touched = []
+            improved = []
             for t2 in changed:
                 c2 = clo[t2]
                 for t, a in inn[t2]:
                     r = a.argleq(c2)
                     if r is not None and r > clo[t]:
-                        if pend[t] == INF:
-                            touched.append(t)
-                            pend[t] = r
-                        elif r > pend[t]:
-                            pend[t] = r
-            changed = []
-            for t in touched:
-                r = pend[t]
-                pend[t] = INF
-                if r > clo[t]:
-                    clo[t] = r
-                    changed.append(t)
+                        clo[t] = r
+                        if t not in improved:
+                            improved.append(t)
+            changed = improved
         self._note_rounds(rounds)
         clo[tu] = None
         settled = self._bwd_memo[key] = tuple(clo)

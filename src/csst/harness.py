@@ -220,7 +220,8 @@ class FuzzOptions:
     max_queries: int = 400
     delete_frac: float = 0.0
     # Cheap per-update checks on the dynamic backend (direct-minimum entry
-    # against the edge multiset, per-array density against cross-chain density).
+    # against the least live target, per-array density against cross-chain
+    # density).
     check_invariants: bool = True
     # Per-update height sweep over every sparse array; costs a DFS per array,
     # so large batteries may want it off.
@@ -388,7 +389,7 @@ class DifferentialRun:
         if got != want:
             self.failure = (
                 f"direct-minimum entry mismatch at ({t1},{j1})->chain {t2}: "
-                f"array {got!r} vs multiset {want!r}"
+                f"array {got!r} vs least live target {want!r}"
             )
             return
         a = dyn.arrays[t1 * dyn.k + t2]

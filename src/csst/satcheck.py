@@ -14,7 +14,7 @@ inserts w -> r, then forces, for every other write w' to the same variable:
 
 A forced ordering that contradicts program order or closes a cycle kills
 the candidate; all edges inserted for it are rolled back (exact deletes
-restore the prior direct-edge multisets) and the next candidate is tried,
+restore the prior direct edges) and the next candidate is tried,
 backtracking across reads. An accepted assignment is finally validated by
 searching for one concrete interleaving, so the verdict matches exhaustive
 enumeration. That last search memoizes on (scheduled-set, last write per

@@ -48,6 +48,35 @@ def test_replay_out_of_range_op_is_an_input_error(tmp_path, capsys):
     assert main(["replay", str(p)]) == 1
 
 
+CYCLIC_OPLOG = """\
+init 2 2 2
+ins 1 1 0 1
+ins 0 1 1 0
+ins 1 0 0 0
+reach 1 1 0 0
+"""
+
+
+@pytest.mark.parametrize("backend", ["csst-inc", "st"])
+def test_replay_refuses_a_cycle_on_the_eager_folds(tmp_path, capsys, backend):
+    # The second insert closes a cycle through (1,0) -> (1,1) -> (0,1).
+    p = tmp_path / "w.ops"
+    p.write_text(CYCLIC_OPLOG)
+    assert main(["replay", str(p), "--backend", backend]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: CycleDetected")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("backend", ["csst-dyn", "vc", "graph"])
+def test_replay_answers_on_a_cycle_elsewhere(tmp_path, capsys, backend):
+    p = tmp_path / "w.ops"
+    p.write_text(CYCLIC_OPLOG)
+    assert main(["replay", str(p), "--backend", backend]) == 0
+    assert capsys.readouterr().out == "reach -> true\n"
+
+
 def test_missing_subcommand_exits_one(capsys):
     with pytest.raises(SystemExit) as e:
         main([])

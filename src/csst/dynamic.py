@@ -6,17 +6,29 @@ array stores only DIRECT edges: entry j1 holds the least j2 with a live edge
 distinct live targets for that (t1, j1, t2) key (a repeated insert raises
 DuplicateEdge), so deleting the current minimum promotes the next one in
 O(log) time. Nothing transitive is cached, which is what makes deletion
-cheap; queries instead run a small fixpoint (the closure) over the k chains:
+cheap; queries instead run a small fixpoint (the closure) over the k chains,
+one routine for both directions. Forward, min_suffix over the arrays leaving
+each chain gives the least index of each chain that u reaches; backward,
+argleq over the arrays entering each chain gives the largest index that
+reaches u.
 
-    round 0: best index of each chain reachable from u by one direct edge
-    round r: one more cross-chain hop from each chain improved in round r-1
+    round 0: best index of each chain one direct edge from u
+    round r: one more cross-chain hop from each chain at a value it has
+             not been expanded at
 
-Each improvement is written in place at once. Every value written is an
-index actually reached and values only improve, so a round that reads one
-found earlier in the same round only settles sooner. A shortest
-chain-to-chain witness path alternates chains at most k times, so the
-closure settles within k rounds; the instance records the rounds of the
-worst query it has served (max_closure_rounds) so that bound can be audited.
+Each improvement is written in place at once, and each chain records the
+value it was last expanded at, so none is expanded twice at one value (one
+improved in round r before its turn is expanded then and left out of round
+r+1). Values are indices actually reached and only improve, and a probe's
+answer only improves as its argument does. So after round r every chain is
+at least as good as its best witness path of at most r+1 cross-chain hops:
+the chain that path's last hop leaves was at least as good after round r-1,
+and was expanded at that value or a better one in round r or before. A
+shortest witness path alternates chains at most k times, so the closure
+settles within k rounds; max_closure_rounds records the worst query served
+so that bound can be audited. A chain left out of round r+1 and improved
+during it waits for round r+2, so a query's round count can rise while its
+probes fall.
 
 Settled closures are memoised between edge changes. A query's round 0 is one
 row per direction: min_suffix(j1) of each array leaving chain t1 (forward),
@@ -121,100 +133,82 @@ class DynamicPartialOrder(ChainPairOrder):
         if rounds > self.max_closure_rounds:
             self.max_closure_rounds = rounds
 
-    def _run_fwd(self, t1: int, j1: int, tt: int, tj: int):
-        """Forward closure from (t1, j1): per chain, the least index reached
-        (inf when none). The source chain's slot holds no answer.
+    def _closure(self, fwd: bool, tu: int, ju: int, tt: int = -1, tj: int = -1):
+        """Closure of (tu, ju) along the out-links (fwd: per chain, the least
+        index reached, inf when none) or the in-links (per chain, the largest
+        index that reaches it, -1 when none). The source chain's slot holds
+        no answer.
 
-        With tt >= 0, stops as soon as chain tt is reached at an index <= tj
-        (closure values only ever decrease, so an early hit is final) and
-        returns the scratch buffer, settled at tt only. Otherwise returns the
-        settled closure, from the memo when round 0 matches a stored key.
+        With tt >= 0 (forward only), stops as soon as chain tt is reached at
+        an index <= tj (closure values only ever improve, so an early hit is
+        final) and returns the scratch buffer, settled at tt only. Otherwise
+        returns the settled closure, from the memo when round 0 matches a
+        stored key.
         """
-        out = self._out
         clo = self._clo
-        for t, a in out[t1]:
-            clo[t] = a.min_suffix(j1)
-        if tt >= 0 and clo[tt] <= tj:
-            self.last_closure_rounds = 0
-            return clo
-        clo[t1] = None
-        key = tuple(clo)
-        settled = self._fwd_memo.get(key)
-        if settled is not None:
-            self.closure_memo_hits += 1
-            self.last_closure_rounds = 0
-            return settled
-        clo[t1] = j1
-        changed = [t for t, _ in out[t1] if clo[t] != INF]
-        rounds = 0
-        while changed:
-            rounds += 1
-            improved = []
-            for t2 in changed:
-                c2 = clo[t2]
-                for t, a in out[t2]:
-                    v = a.min_suffix(c2)
-                    if v < clo[t]:
-                        clo[t] = v
-                        if t not in improved:
-                            improved.append(t)
-            changed = improved
+        if fwd:
+            links = self._out
+            for t, a in links[tu]:
+                clo[t] = a.min_suffix(ju)
             if tt >= 0 and clo[tt] <= tj:
-                self._note_rounds(rounds)
+                self.last_closure_rounds = 0
                 return clo
-        self._note_rounds(rounds)
-        clo[t1] = None
-        settled = self._fwd_memo[key] = tuple(clo)
-        return settled
-
-    def _run_bwd(self, tu: int, ju: int):
-        """Backward closure to (tu, ju): per chain, the largest index that
-        reaches it (-1 when none); the target chain's slot holds no answer.
-        Served from the memo when round 0 matches a stored key."""
-        inn = self._in
-        clo = self._clo
-        for t, a in inn[tu]:
-            r = a.argleq(ju)
-            clo[t] = -1 if r is None else r
+            memo = self._fwd_memo
+        else:
+            links, memo = self._in, self._bwd_memo
+            for t, a in links[tu]:
+                r = a.argleq(ju)
+                clo[t] = -1 if r is None else r
         clo[tu] = None
         key = tuple(clo)
-        settled = self._bwd_memo.get(key)
+        settled = memo.get(key)
         if settled is not None:
             self.closure_memo_hits += 1
             self.last_closure_rounds = 0
             return settled
         clo[tu] = ju
-        changed = [t for t, _ in inn[tu] if clo[t] >= 0]
+        # done[t]: the value chain t was last expanded at (none, inf or -1,
+        # before its first expansion); round 0 expanded the source chain. A
+        # chain enters a round only at a new value.
+        done = [INF if fwd else -1] * self.k
+        done[tu] = ju
         rounds = 0
-        while changed:
+        # zip keeps clo and done out of the comprehension's scope, so they
+        # stay fast locals rather than cells.
+        while changed := [t for t, c, d in zip(range(self.k), clo, done) if c != d]:
             rounds += 1
-            improved = []
             for t2 in changed:
-                c2 = clo[t2]
-                for t, a in inn[t2]:
-                    r = a.argleq(c2)
-                    if r is not None and r > clo[t]:
-                        clo[t] = r
-                        if t not in improved:
-                            improved.append(t)
-            changed = improved
+                c2 = done[t2] = clo[t2]
+                for t, a in links[t2]:
+                    if fwd:
+                        v = a.min_suffix(c2)
+                        if v >= clo[t]:
+                            continue
+                    else:
+                        v = a.argleq(c2)
+                        if v is None or v <= clo[t]:
+                            continue
+                    clo[t] = v
+            if tt >= 0 and clo[tt] <= tj:
+                self._note_rounds(rounds)
+                return clo
         self._note_rounds(rounds)
         clo[tu] = None
-        settled = self._bwd_memo[key] = tuple(clo)
+        settled = memo[key] = tuple(clo)
         return settled
 
     # -- queries -----------------------------------------------------------------
 
     def _successor(self, u: NodeId, t2: int):
-        r = self._run_fwd(u.chain, u.index, -1, -1)[t2]
+        r = self._closure(True, u.chain, u.index)[t2]
         return None if r == INF else r
 
     def _predecessor(self, u: NodeId, t1: int):
-        r = self._run_bwd(u.chain, u.index)[t1]
+        r = self._closure(False, u.chain, u.index)[t1]
         return None if r < 0 else r
 
     def _reachable(self, u: NodeId, v: NodeId) -> bool:
-        return self._run_fwd(u.chain, u.index, v.chain, v.index)[v.chain] <= v.index
+        return self._closure(True, u.chain, u.index, v.chain, v.index)[v.chain] <= v.index
 
     # -- introspection -------------------------------------------------------------
 

@@ -187,13 +187,16 @@ def parse_trace(text: str) -> tuple[list[TraceEvent], list[tuple[int, int, int, 
             raise ValueError(f"line {lineno}: unknown record {parts[0]!r}")
     if not events:
         raise ValueError("empty trace")
-    # Per-thread indices must form contiguous prefixes 0..n-1.
+    # Thread ids must run 0..T-1, and each thread's indices 0..n-1.
     per: dict[int, set[int]] = {}
     for ev in events:
         per.setdefault(ev.thread, set()).add(ev.index)
-    n_threads = max(per) + 1
-    for t in range(n_threads):
-        idxs = per.get(t, set())
+    if set(per) != set(range(len(per))):
+        raise ValueError(
+            f"thread ids must run 0..T-1 with every thread present; "
+            f"got {len(per)} threads with ids {min(per)}..{max(per)}"
+        )
+    for t, idxs in per.items():
         if idxs != set(range(len(idxs))):
             raise ValueError(f"thread {t}: event indices must be 0..n-1 with no gaps")
     for t1, j1, t2, j2 in orders:

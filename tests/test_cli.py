@@ -165,6 +165,15 @@ def test_satcheck_malformed_trace(tmp_path, capsys):
     assert main(["satcheck", str(p)]) == 1
 
 
+def test_satcheck_rejects_a_gap_in_thread_ids(tmp_path, capsys):
+    p = tmp_path / "t.trace"
+    p.write_text("e 0 0 w x 1\ne 600 0 r x 1\n")
+    assert main(["satcheck", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert "thread ids must run 0..T-1" in err
+    assert "Traceback" not in err
+
+
 def test_satcheck_long_thread_gets_a_verdict(tmp_path, capsys):
     # One write and 1100 reads of it on one thread: deeper than the default
     # recursion limit in both the binding search and the interleaving search.

@@ -1,11 +1,13 @@
 """Dynamic order: pinned examples, deletion semantics, closure round bound."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csst import BruteForcePartialOrder, DynamicPartialOrder, NodeId, PoError, PoErrorKind
-from csst.sst import INF
+from csst.sst import INF, SuffixMinArray
 from helpers import RefOrder
 
 N = NodeId
@@ -29,8 +31,9 @@ def test_multi_hop_successor_and_delete():
     # (0,0) reaches chain 3 earliest at index 1, through the three-edge
     # crossing path (0,1)->(1,0), (1,1)->(2,1), (2,2)->(3,1).
     assert po.successor(N(0, 0), 3) == 1
-    # The sweep that found it: two improving rounds plus the final fixpoint
-    # check, all within the k-round bound.
+    # The sweep that found it: rounds 1 and 2 improve chains 2 and 3, and
+    # round 3 expands chain 3 at its new index 1 and finds nothing, all
+    # within the k-round bound.
     assert po.last_closure_rounds == 3
     assert po.max_closure_rounds <= 4
     assert po.reachable(N(0, 0), N(3, 1))
@@ -293,3 +296,46 @@ def test_closure_memo_agrees_with_oracle_under_churn_cycles_and_growth(k, data):
         targets = {(t2, lst[0]) for (_, _, t2), lst in po._store.items()}
         assert len(po._fwd_memo) <= len(sources) + k
         assert len(po._bwd_memo) <= len(targets) + k
+
+
+def test_no_array_probed_twice_at_one_argument_in_a_query(monkeypatch):
+    # Each chain is expanded at most once per value it takes, so within one
+    # query no array answers the same probe twice, cycles and deletes
+    # included.
+    probes = []
+    for name in ("min_suffix", "argleq"):
+        def probe(self, j, _fn=getattr(SuffixMinArray, name), _name=name):
+            probes.append((_name, id(self), j))
+            return _fn(self, j)
+
+        monkeypatch.setattr(SuffixMinArray, name, probe)
+    rng = random.Random(8)
+    multi_round = 0
+    for _ in range(60):
+        k = rng.randint(2, 6)
+        lengths = [rng.randint(1, 6) for _ in range(k)]
+        po = DynamicPartialOrder(k, lengths)  # no cycle guard: cycles allowed
+        live = []
+        for _ in range(40):
+            if live and rng.random() < 0.3:
+                po.delete_edge(*live.pop(rng.randrange(len(live))))
+            else:
+                t1, t2 = rng.sample(range(k), 2)
+                u = N(t1, rng.randrange(lengths[t1]))
+                v = N(t2, rng.randrange(lengths[t2]))
+                if (u, v) not in live:
+                    po.insert_edge(u, v)
+                    live.append((u, v))
+            for _ in range(3):
+                t1, t2 = rng.sample(range(k), 2)
+                u = N(t1, rng.randrange(lengths[t1]))
+                for name, arg in [
+                    ("successor", t2),
+                    ("predecessor", t2),
+                    ("reachable", N(t2, rng.randrange(lengths[t2]))),
+                ]:
+                    probes.clear()
+                    getattr(po, name)(u, arg)
+                    assert len(set(probes)) == len(probes), (name, u, arg)
+                    multi_round += po.last_closure_rounds > 1
+    assert multi_round > 1000  # enough queries ran more than one round

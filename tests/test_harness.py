@@ -109,6 +109,8 @@ def test_trace_parsing_round_trip():
         "e 0 0 w x",  # arity
         "e 0 0 q x 1",  # bad kind
         "e 0 1 w x 1",  # gap in thread indices
+        "e 0 0 w x 1\ne 600 0 r x 1",  # gap in thread ids
+        "e -1 0 w x 1\ne 0 0 r x 1",  # negative thread id
         "e 0 0 w x 1\ne 0 0 w x 2",  # duplicate slot
         "e 0 0 w x 1\no 0 0 1 0",  # ordering names missing event
         "z 0 0",  # unknown record

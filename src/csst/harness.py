@@ -161,36 +161,18 @@ class TraceEvent:
     value: int
 
 
-def parse_trace(text: str) -> tuple[list[TraceEvent], list[tuple[int, int, int, int]]]:
-    """Returns (events in file order, initial ordering edges)."""
-    events: list[TraceEvent] = []
-    orders: list[tuple[int, int, int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "e":
-            if len(parts) != 6 or parts[3] not in ("w", "r"):
-                raise ValueError(f"line {lineno}: want `e <thread> <index> <w|r> <var> <value>`")
-            ev = TraceEvent(int(parts[1]), int(parts[2]), parts[3], parts[4], int(parts[5]))
-            if (ev.thread, ev.index) in seen:
-                raise ValueError(f"line {lineno}: duplicate event slot {(ev.thread, ev.index)}")
-            seen.add((ev.thread, ev.index))
-            events.append(ev)
-        elif parts[0] == "o":
-            if len(parts) != 5:
-                raise ValueError(f"line {lineno}: want `o <t1> <j1> <t2> <j2>`")
-            orders.append((int(parts[1]), int(parts[2]), int(parts[3]), int(parts[4])))
-        else:
-            raise ValueError(f"line {lineno}: unknown record {parts[0]!r}")
+def validate_trace(events: list[TraceEvent], orders=()) -> list[int]:
+    """Raise ValueError unless the events fill threads 0..T-1, each with
+    indices 0..n-1 and no slot twice, and every ordering names two of them.
+    Returns each thread's event count."""
     if not events:
         raise ValueError("empty trace")
-    # Thread ids must run 0..T-1, and each thread's indices 0..n-1.
     per: dict[int, set[int]] = {}
     for ev in events:
-        per.setdefault(ev.thread, set()).add(ev.index)
+        idxs = per.setdefault(ev.thread, set())
+        if ev.index in idxs:
+            raise ValueError(f"duplicate event slot {(ev.thread, ev.index)}")
+        idxs.add(ev.index)
     if set(per) != set(range(len(per))):
         raise ValueError(
             f"thread ids must run 0..T-1 with every thread present; "
@@ -200,8 +182,32 @@ def parse_trace(text: str) -> tuple[list[TraceEvent], list[tuple[int, int, int, 
         if idxs != set(range(len(idxs))):
             raise ValueError(f"thread {t}: event indices must be 0..n-1 with no gaps")
     for t1, j1, t2, j2 in orders:
-        if (t1, j1) not in seen or (t2, j2) not in seen:
+        if j1 not in per.get(t1, ()) or j2 not in per.get(t2, ()):
             raise ValueError(f"ordering {(t1, j1, t2, j2)} names a missing event")
+    return [len(per[t]) for t in range(len(per))]
+
+
+def parse_trace(text: str) -> tuple[list[TraceEvent], list[tuple[int, int, int, int]]]:
+    """Returns (events in file order, initial ordering edges), checked by
+    `validate_trace`."""
+    events: list[TraceEvent] = []
+    orders: list[tuple[int, int, int, int]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if parts[0] == "e":
+            if len(parts) != 6 or parts[3] not in ("w", "r"):
+                raise ValueError(f"line {lineno}: want `e <thread> <index> <w|r> <var> <value>`")
+            events.append(TraceEvent(int(parts[1]), int(parts[2]), parts[3], parts[4], int(parts[5])))
+        elif parts[0] == "o":
+            if len(parts) != 5:
+                raise ValueError(f"line {lineno}: want `o <t1> <j1> <t2> <j2>`")
+            orders.append((int(parts[1]), int(parts[2]), int(parts[3]), int(parts[4])))
+        else:
+            raise ValueError(f"line {lineno}: unknown record {parts[0]!r}")
+    validate_trace(events, orders)
     return events, orders
 
 

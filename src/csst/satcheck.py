@@ -1,9 +1,10 @@
 """Read-from consistency checking by saturating a dynamic partial order.
 
 Input: a trace of per-thread write/read events (see `harness.parse_trace`),
-optionally with orderings established up front. The checker decides whether
-every read can observe a same-variable write of its value under SOME
-interleaving that respects program order, the given orderings, and
+optionally with orderings established up front. `check` validates both with
+`harness.validate_trace` before it builds the order. The checker decides
+whether every read can observe a same-variable write of its value under
+SOME interleaving that respects program order, the given orderings, and
 write atomicity (a read sees the latest write).
 
 Method: reads are bound to candidate writes in trace order. Binding w to r
@@ -12,22 +13,26 @@ inserts w -> r, then forces, for every other write w' to the same variable:
     w  reaches w'  =>  r comes before w'   (insert r -> w')
     w' reaches r   =>  w' comes before w   (insert w' -> w)
 
-A forced ordering that contradicts program order or closes a cycle kills
-the candidate; all edges inserted for it are rolled back (exact deletes
-restore the prior direct edges) and the next candidate is tried,
-backtracking across reads. An accepted assignment is finally validated by
-searching for one concrete interleaving, so the verdict matches exhaustive
-enumeration. That last search memoizes on (scheduled-set, last write per
-variable) and is only meant for short traces.
+Both tests read whole rows: after w -> r, one `successor` row of w and one
+`predecessor` row of r, 2(k-1) queries per candidate over k threads, answer
+them for every w'. A forced ordering that contradicts program order or
+closes a cycle kills the candidate; all edges inserted for it are rolled
+back (exact deletes restore the prior direct edges) and the next candidate
+is tried, backtracking across reads. An accepted assignment is finally
+validated by searching for one concrete interleaving, so the verdict
+matches exhaustive enumeration. That search needs each event's
+predecessors as a bitmask; `predecessor_masks` builds them with n(k-1)
+`predecessor` queries over n events. It memoizes on (scheduled-set, last
+write per variable) and is only meant for short traces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import NodeId, PoError, PoErrorKind
+from .core import NodeId, PartialOrderBase, PoError, PoErrorKind
 from .dynamic import DynamicPartialOrder
-from .harness import TraceEvent
+from .harness import TraceEvent, validate_trace
 
 
 @dataclass
@@ -66,12 +71,11 @@ class _Candidate:
 
 
 def check(events: list[TraceEvent], orders=()) -> CheckResult:
-    """Decide trace consistency. Raises ValueError if the up-front
-    orderings already contradict program order or each other."""
-    k = max(ev.thread for ev in events) + 1
-    lengths = [0] * k
-    for ev in events:
-        lengths[ev.thread] = max(lengths[ev.thread], ev.index + 1)
+    """Decide trace consistency. Raises ValueError if the events or
+    orderings fail `validate_trace`, or if the up-front orderings already
+    contradict program order or each other."""
+    lengths = validate_trace(events, orders)
+    k = len(lengths)
     po = DynamicPartialOrder(k, lengths, cycle_guard=True)
 
     pre = _Candidate(po)
@@ -79,28 +83,41 @@ def check(events: list[TraceEvent], orders=()) -> CheckResult:
         if not pre.order(NodeId(t1, j1), NodeId(t2, j2)):
             raise ValueError(f"initial orderings are contradictory at {(t1, j1, t2, j2)}")
 
-    node = {}
-    for ev in events:
-        node[ev] = NodeId(ev.thread, ev.index)
-    writes_by_var: dict[str, list[TraceEvent]] = {}
-    for ev in events:
+    # Per-event data is indexed by position in `events`.
+    node = [NodeId(ev.thread, ev.index) for ev in events]
+    writes_by_var: dict[str, list[int]] = {}
+    for e, ev in enumerate(events):
         if ev.kind == "w":
-            writes_by_var.setdefault(ev.var, []).append(ev)
-    reads = [ev for ev in events if ev.kind == "r"]
-    binding: list[TraceEvent | None] = [None] * len(reads)
+            writes_by_var.setdefault(ev.var, []).append(e)
+    reads = [e for e, ev in enumerate(events) if ev.kind == "r"]
+    binding = [-1] * len(reads)  # binding[i]: position of the write reads[i] observes
+    chains = range(k)
 
-    def try_bind(r: TraceEvent, w: TraceEvent) -> _Candidate | None:
+    def try_bind(r: int, w: int) -> _Candidate | None:
+        nw, nr = node[w], node[r]
         cand = _Candidate(po)
-        if not cand.order(node[w], node[r]):
+        if not cand.order(nw, nr):
             cand.rollback()
             return None
-        for other in writes_by_var.get(r.var, ()):
-            if other is w:
+        # w's successor row and r's predecessor row, read once: o is after w
+        # iff succ[o.chain] <= o.index, and before r iff o.index <= pred[o.chain].
+        # Every insert below keeps both rows exact. r -> o is made only where w
+        # already reaches o, so all it adds to w's successors o already had;
+        # o -> w only where o already reaches r, so all it adds to r's
+        # predecessors already reached r. Anything more would close a cycle
+        # (o reaching r, or w reaching o, ahead of the new edge), which the
+        # cycle guard refuses, and then the candidate is rolled back.
+        succ = [nw.index if t == nw.chain else po.successor(nw, t) for t in chains]
+        pred = [nr.index if t == nr.chain else po.predecessor(nr, t) for t in chains]
+        for o in writes_by_var[events[r].var]:
+            if o == w:
                 continue
-            if po.reachable(node[w], node[other]):
-                ok = cand.order(node[r], node[other])
-            elif po.reachable(node[other], node[r]):
-                ok = cand.order(node[other], node[w])
+            no = node[o]
+            s, p = succ[no.chain], pred[no.chain]
+            if s is not None and s <= no.index:
+                ok = cand.order(nr, no)
+            elif p is not None and no.index <= p:
+                ok = cand.order(no, nw)
             else:
                 continue
             if not ok:
@@ -118,11 +135,12 @@ def check(events: list[TraceEvent], orders=()) -> CheckResult:
             i = len(cands)
             if i < len(reads):
                 r = reads[i]
-                ws = writes_by_var.get(r.var, ())
+                ev = events[r]
+                ws = writes_by_var.get(ev.var, ())
                 while tried[i] < len(ws):
                     w = ws[tried[i]]
                     tried[i] += 1
-                    if w.value != r.value:
+                    if events[w].value != ev.value:
                         continue
                     cand = try_bind(r, w)
                     if cand is not None:
@@ -132,7 +150,7 @@ def check(events: list[TraceEvent], orders=()) -> CheckResult:
                         break
                 if len(cands) > i:
                     continue
-            elif _realizable(events, po, node, reads, binding):
+            elif _realizable(events, predecessor_masks(po, node), reads, binding):
                 return True
             # Nothing left to try at depth i: undo the binding of reads[i - 1].
             tried.pop()
@@ -146,20 +164,44 @@ def check(events: list[TraceEvent], orders=()) -> CheckResult:
     return CheckResult(False, [])
 
 
-def _realizable(events, po, node, reads, binding) -> bool:
+def predecessor_masks(po: PartialOrderBase, nodes: list[NodeId]) -> list[int]:
+    """masks[b] has bit a set iff a != b and nodes[a] reaches nodes[b].
+
+    nodes must list every event of po exactly once. Chain t's events that
+    reach a node form a prefix of t, so each node costs one `predecessor`
+    per other chain, ORed in as a prefix bitmask.
+    """
+    prefix = [[0] * n for n in po.lengths]  # prefix[t][j]: bits of (t, 0..j)
+    for e, (t, j) in enumerate(nodes):
+        prefix[t][j] = 1 << e
+    for row in prefix:
+        for j in range(1, len(row)):
+            row[j] |= row[j - 1]
+    others = [[c for c in range(po.k) if c != t] for t in range(po.k)]
+    masks = []
+    for u in nodes:
+        t, j = u
+        m = prefix[t][j - 1] if j else 0
+        for c in others[t]:
+            p = po.predecessor(u, c)
+            if p is not None:
+                m |= prefix[c][p]
+        masks.append(m)
+    return masks
+
+
+def _realizable(events, pred_mask, reads, binding) -> bool:
     """One concrete interleaving exists: schedule events respecting the
-    saturated order, each read firing only while its bound write is the
-    variable's latest."""
+    saturated order (pred_mask from `predecessor_masks`), each read firing
+    only while its bound write is the variable's latest."""
     n = len(events)
-    pred_mask = [0] * n
-    for a in range(n):
-        for b in range(n):
-            if a != b and po.reachable(node[events[a]], node[events[b]]):
-                pred_mask[b] |= 1 << a
     vars_ = sorted({ev.var for ev in events})
     vat = {v: i for i, v in enumerate(vars_)}
-    eid = {ev: i for i, ev in enumerate(events)}
-    bound = {eid[r]: eid[binding[i]] for i, r in enumerate(reads)}
+    var_of = [vat[ev.var] for ev in events]
+    is_read = [ev.kind == "r" for ev in events]
+    bound = [-1] * n
+    for i, r in enumerate(reads):
+        bound[r] = binding[i]
     full = (1 << n) - 1
     # Depth-first over (scheduled-set, last write per variable) states, with
     # an explicit stack; each frame is [mask, lastw, next event to try].
@@ -175,13 +217,12 @@ def _realizable(events, po, node, reads, binding) -> bool:
             bit = 1 << e
             if mask & bit or pred_mask[e] & ~mask:
                 continue
-            ev = events[e]
-            if ev.kind == "r":
-                if lastw[vat[ev.var]] != bound[e]:
+            j = var_of[e]
+            if is_read[e]:
+                if lastw[j] != bound[e]:
                     continue
                 nxt = lastw
             else:
-                j = vat[ev.var]
                 nxt = lastw[:j] + (e,) + lastw[j + 1 :]
             state = (mask | bit, nxt)
             if state in seen:

@@ -179,19 +179,26 @@ class RefOrder:
         return max(idxs) if idxs else None
 
 
+def _program_and_given_order(events, orders):
+    """pred[i]: bits of the events that must come before events[i] by
+    program order or by one of the given orderings."""
+    id_of = {(ev.thread, ev.index): i for i, ev in enumerate(events)}
+    pred = [0] * len(events)
+    for i, ev in enumerate(events):
+        if ev.index > 0:
+            pred[i] |= 1 << id_of[(ev.thread, ev.index - 1)]
+    for t1, j1, t2, j2 in orders:
+        pred[id_of[(t2, j2)]] |= 1 << id_of[(t1, j1)]
+    return pred
+
+
 def interleaving_consistent(events, orders=()) -> bool:
     """Exhaustive trace check: does some total schedule respect program
     order and the given orderings while every read observes the latest
     same-variable write of its value? Memoizes on (scheduled-set, latest
     value per variable); only for short traces."""
     n = len(events)
-    id_of = {(ev.thread, ev.index): i for i, ev in enumerate(events)}
-    pred = [0] * n
-    for i, ev in enumerate(events):
-        if ev.index > 0:
-            pred[i] |= 1 << id_of[(ev.thread, ev.index - 1)]
-    for t1, j1, t2, j2 in orders:
-        pred[id_of[(t2, j2)]] |= 1 << id_of[(t1, j1)]
+    pred = _program_and_given_order(events, orders)
     vars_ = sorted({ev.var for ev in events})
     vat = {v: i for i, v in enumerate(vars_)}
     full = (1 << n) - 1
@@ -218,6 +225,42 @@ def interleaving_consistent(events, orders=()) -> bool:
                 nxt[vat[ev.var]] = ev.value
                 if go(mask | bit, tuple(nxt)):
                     return True
+        return False
+
+    return go(0, tuple([None] * len(vars_)))
+
+
+def interleaving_with_binding(events, orders, bound) -> bool:
+    """interleaving_consistent with each read's write fixed: bound[i] is the
+    position of the write that the read events[i] must observe as the
+    variable's latest write when it fires."""
+    n = len(events)
+    pred = _program_and_given_order(events, orders)
+    vars_ = sorted({ev.var for ev in events})
+    vat = {v: i for i, v in enumerate(vars_)}
+    full = (1 << n) - 1
+    seen = set()
+
+    def go(mask, lastw):
+        if mask == full:
+            return True
+        if (mask, lastw) in seen:
+            return False
+        seen.add((mask, lastw))
+        for e in range(n):
+            bit = 1 << e
+            if mask & bit or pred[e] & ~mask:
+                continue
+            ev = events[e]
+            j = vat[ev.var]
+            if ev.kind == "r":
+                if lastw[j] != bound[e]:
+                    continue
+                nxt = lastw
+            else:
+                nxt = lastw[:j] + (e,) + lastw[j + 1 :]
+            if go(mask | bit, nxt):
+                return True
         return False
 
     return go(0, tuple([None] * len(vars_)))

@@ -1,13 +1,16 @@
+import itertools
 import pathlib
 import random
+import time
 
 import pytest
 
 from csst.core import NodeId
+from csst.dynamic import DynamicPartialOrder
 from csst.harness import TraceEvent, parse_trace
-from csst.satcheck import check
+from csst.satcheck import check, predecessor_masks
 
-from helpers import interleaving_consistent
+from helpers import interleaving_consistent, interleaving_with_binding
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -154,6 +157,9 @@ def random_trace(rng, max_events=10):
             written.setdefault(var, []).append(val)
         events.append(TraceEvent(t, counts[t], kind, var, val))
         counts[t] += 1
+    # Renumber the threads that got events to 0..T-1, as check() requires.
+    ids = {t: i for i, t in enumerate(t for t in range(k) if counts[t])}
+    events = [TraceEvent(ids[e.thread], e.index, e.kind, e.var, e.value) for e in events]
     orders = []
     if rng.random() < 0.35 and len(events) >= 2:
         a, b = rng.sample(events, 2)
@@ -173,3 +179,137 @@ def test_matches_exhaustive_interleaving_on_random_traces():
         consistent += want
     # the generator must exercise both verdicts
     assert 30 < consistent < 270
+
+
+def test_bindings_are_the_first_witnessed_candidate_vector():
+    # Reads bind in trace order, each to its same-value writes in trace
+    # order, so the answer is the first vector in that lexicographic order
+    # that some interleaving witnesses, or none.
+    rng = random.Random(909)
+    consistent = multi = 0
+    for _ in range(300):
+        events, orders = random_trace(rng)
+        reads = [i for i, ev in enumerate(events) if ev.kind == "r"]
+        cands = [
+            [
+                w
+                for w, ev in enumerate(events)
+                if ev.kind == "w" and ev.var == events[r].var and ev.value == events[r].value
+            ]
+            for r in reads
+        ]
+        first = next(
+            (
+                vec
+                for vec in itertools.product(*cands)
+                if interleaving_with_binding(events, orders, dict(zip(reads, vec)))
+            ),
+            None,
+        )
+        res = check(events, orders)
+        assert res.consistent == (first is not None), (events, orders)
+        if first is not None:
+            want = [(_node(events[r]), _node(events[w])) for r, w in zip(reads, first)]
+            assert res.bindings == want, (events, orders)
+        consistent += res.consistent
+        multi += res.consistent and any(len(c) > 1 for c in cands)
+    # both verdicts occur, and some answers had a choice to make
+    assert 30 < consistent < 270
+    assert multi > 20
+
+
+def _node(ev):
+    return NodeId(ev.thread, ev.index)
+
+
+def _pairwise_masks(po, nodes):
+    return [
+        sum(1 << a for a, u in enumerate(nodes) if a != b and po.reachable(u, v))
+        for b, v in enumerate(nodes)
+    ]
+
+
+def test_predecessor_masks_match_pairwise_reachable():
+    rng = random.Random(77)
+    saw_none = saw_delete = 0
+    for _ in range(150):
+        k = rng.randint(1, 4)
+        lengths = [rng.randint(1, 6) for _ in range(k)]
+        # Edges only run from a smaller hidden timestamp to a larger one, so
+        # the order stays acyclic; chains outside `linked` get no cross edge.
+        ts = {(t, j): j * k + rng.randrange(k) for t in range(k) for j in range(lengths[t])}
+        linked = [t for t in range(k) if rng.random() < 0.75]
+        po = DynamicPartialOrder(k, lengths, cycle_guard=True)
+        nodes = [NodeId(t, j) for t in range(k) for j in range(lengths[t])]
+        live = []
+        for _ in range(rng.randint(0, 12)):
+            if live and rng.random() < 0.3:
+                po.delete_edge(*live.pop(rng.randrange(len(live))))
+                saw_delete += 1
+            elif len(linked) >= 2:
+                t1, t2 = rng.sample(linked, 2)
+                u = NodeId(t1, rng.randrange(lengths[t1]))
+                v = NodeId(t2, rng.randrange(lengths[t2]))
+                if ts[u] < ts[v] and (u, v) not in live:
+                    po.insert_edge(u, v)
+                    live.append((u, v))
+            rng.shuffle(nodes)
+            assert predecessor_masks(po, nodes) == _pairwise_masks(po, nodes)
+            saw_none += any(
+                po.predecessor(u, t) is None for u in nodes for t in range(k) if t != u.chain
+            )
+    assert saw_none > 100 and saw_delete > 50
+
+
+@pytest.mark.parametrize(
+    "events, orders",
+    [
+        # a thread id far past the others; must not size a 401-chain order
+        ([_ev(0, 0, "w", "x", 1), _ev(400, 0, "r", "x", 1)], []),
+        ([_ev(-1, 0, "w", "x", 1), _ev(0, 0, "r", "x", 1)], []),
+        ([_ev(0, 0, "w", "x", 1), _ev(1, 0, "r", "x", 1)], [(0, 0, 2, 0)]),
+        ([_ev(0, 0, "w", "x", 1), _ev(1, 0, "r", "x", 1)], [(0, 0, 1, 1)]),
+        ([_ev(0, 0, "w", "x", 1), _ev(0, 0, "r", "x", 1)], []),
+        ([_ev(0, 1, "w", "x", 1)], []),
+        ([], []),
+    ],
+)
+def test_check_rejects_invalid_input_before_building_the_order(events, orders):
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError):
+        check(events, orders)
+    assert time.perf_counter() - t0 < 0.1
+
+
+def test_the_last_binding_is_saturated_when_the_search_starts(monkeypatch):
+    # After reads[-1] binds to w, every other write o of its variable is
+    # ordered against it: w reaches r, w reaching o puts r before o, and o
+    # reaching r puts o before w. The masks handed to the interleaving
+    # search hold the whole order, so the test reads reachability there.
+    import csst.satcheck as satcheck
+
+    search = satcheck._realizable
+    checked = 0
+
+    def spy(events, masks, reads, binding):
+        nonlocal checked
+        if not reads:
+            return search(events, masks, reads, binding)
+        r, w = reads[-1], binding[-1]
+
+        def reaches(a, b):
+            return a == b or masks[b] >> a & 1
+
+        assert reaches(w, r)
+        for o, ev in enumerate(events):
+            if ev.kind == "w" and ev.var == events[r].var and o != w:
+                assert not reaches(w, o) or reaches(r, o)
+                assert not reaches(o, r) or reaches(o, w)
+                checked += 1
+        return search(events, masks, reads, binding)
+
+    monkeypatch.setattr(satcheck, "_realizable", spy)
+    rng = random.Random(303)
+    for _ in range(300):
+        check(*random_trace(rng, max_events=12))
+    assert checked > 100

@@ -162,13 +162,15 @@ class TraceEvent:
 
 
 def validate_trace(events: list[TraceEvent], orders=()) -> list[int]:
-    """Raise ValueError unless the events fill threads 0..T-1, each with
-    indices 0..n-1 and no slot twice, and every ordering names two of them.
-    Returns each thread's event count."""
+    """Raise ValueError unless every event is a write or a read, the events
+    fill threads 0..T-1, each with indices 0..n-1 and no slot twice, and
+    every ordering names two of them. Returns each thread's event count."""
     if not events:
         raise ValueError("empty trace")
     per: dict[int, set[int]] = {}
     for ev in events:
+        if ev.kind not in ("w", "r"):
+            raise ValueError(f"event {(ev.thread, ev.index)}: kind must be w or r, got {ev.kind!r}")
         idxs = per.setdefault(ev.thread, set())
         if ev.index in idxs:
             raise ValueError(f"duplicate event slot {(ev.thread, ev.index)}")
@@ -198,7 +200,7 @@ def parse_trace(text: str) -> tuple[list[TraceEvent], list[tuple[int, int, int, 
             continue
         parts = line.split()
         if parts[0] == "e":
-            if len(parts) != 6 or parts[3] not in ("w", "r"):
+            if len(parts) != 6:
                 raise ValueError(f"line {lineno}: want `e <thread> <index> <w|r> <var> <value>`")
             events.append(TraceEvent(int(parts[1]), int(parts[2]), parts[3], parts[4], int(parts[5])))
         elif parts[0] == "o":

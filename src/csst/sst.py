@@ -14,7 +14,10 @@ node_count() == density() and an empty array owns zero nodes.
 Every node covers an aligned power-of-two index range and carries the pair
 (min, pos) where min is the smallest entry value stored in its subtree and
 pos the largest index attaining it; that pair is the entry the node owns,
-so a node's pair never duplicates an ancestor's. Both queries descend one
+so a node's pair never duplicates an ancestor's. A node stores its range
+as (mid, end): mid is the last index of its left half (mid == end for a
+one-index node), and start is derived from the two. Every descent reads
+mid as stored; none recomputes the split. Both queries descend one
 root-to-leaf path and can stop early as soon as the carried pair already
 decides the answer, which is what makes point operations O(min(log n, d))
 for d live entries.
@@ -39,17 +42,27 @@ def _pow2_at_least(n: int) -> int:
 
 class SstNode:
     """One tree node covering the aligned index range [start, end]: the
-    (min, pos) pair it owns plus up to two children."""
+    (min, pos) pair it owns plus up to two children.
 
-    __slots__ = ("start", "end", "min", "pos", "left", "right")
+    The range is stored as (mid, end), where mid is the split index (the
+    last index of the left half, or end itself for a one-index node), so a
+    descent reads mid instead of recomputing it. start is derived; no hot
+    path reads it."""
 
-    def __init__(self, start: int, end: int, mn, pos: int):
-        self.start = start
+    __slots__ = ("mid", "end", "min", "pos", "left", "right")
+
+    def __init__(self, mid: int, end: int, mn, pos: int):
+        self.mid = mid
         self.end = end
         self.min = mn
         self.pos = pos
         self.left: SstNode | None = None
         self.right: SstNode | None = None
+
+    @property
+    def start(self) -> int:
+        mid, end = self.mid, self.end
+        return end if mid == end else 2 * mid - end + 1
 
 
 def _better(mn_a, pos_a: int, mn_b, pos_b: int) -> bool:
@@ -89,8 +102,7 @@ class SuffixMinArray:
                 # this subtree can beat it.
                 m = nd.min
                 return m if m < res else res
-            mid = nd.start + (nd.end - nd.start) // 2
-            if i <= mid:
+            if i <= nd.mid:
                 r = nd.right
                 if r is not None and r.min < res:
                     res = r.min
@@ -158,12 +170,13 @@ class SuffixMinArray:
         """Current entry at index i, inf when absent (point lookup)."""
         if not 0 <= i < self.capacity:
             raise IndexError(f"index {i} out of range 0..{self.capacity - 1}")
+        # A subtree that does not cover i owns no entry at i, so descending
+        # by mid until pos == i or the path ends needs no containment test.
         nd = self._root
-        while nd is not None and nd.start <= i <= nd.end:
+        while nd is not None:
             if nd.pos == i:
                 return nd.min
-            mid = nd.start + (nd.end - nd.start) // 2
-            nd = nd.left if i <= mid else nd.right
+            nd = nd.left if i <= nd.mid else nd.right
         return INF
 
     def entries(self) -> dict[int, object]:
@@ -195,7 +208,7 @@ class SuffixMinArray:
             return
         self._density += 1
         if self._root is None:
-            self._root = SstNode(0, self._span - 1, v, i)
+            self._root = SstNode((self._span - 1) // 2, self._span - 1, v, i)
         else:
             self._insert(v, i)
 
@@ -213,7 +226,7 @@ class SuffixMinArray:
             if root is not None:
                 # The new root takes over the old root's pair, and the old
                 # root refills from below (or goes, if that emptied it).
-                new_root = SstNode(0, span * 2 - 1, root.min, root.pos)
+                new_root = SstNode(span - 1, span * 2 - 1, root.min, root.pos)
                 if not self._refill(root):
                     new_root.left = root
                 root = new_root
@@ -232,10 +245,13 @@ class SuffixMinArray:
         while True:
             if _better(val, pos, nd.min, nd.pos):
                 nd.min, nd.pos, val, pos = val, pos, nd.min, nd.pos
-            mid = nd.start + (nd.end - nd.start) // 2
-            on_left = pos <= mid
+            on_left = pos <= nd.mid
             child = nd.left if on_left else nd.right
-            if child is not None and child.start <= pos <= child.end:
+            # pos lies in child's range when it is at most size - 1 below
+            # end; size is (end - mid) * 2, or 1 for a one-index node.
+            if child is not None and 0 <= child.end - pos < (
+                (child.end - child.mid) * 2 or 1
+            ):
                 nd = child
                 continue
             if child is None:
@@ -251,15 +267,15 @@ class SuffixMinArray:
     def _merge_under_lca(self, child: SstNode, val, pos: int) -> SstNode:
         """Glue a compressed child and a new entry under their lowest common
         aligned range; returns the new subtree root."""
-        lo = child.start
-        size = child.end - child.start + 1
+        size = (child.end - child.mid) * 2 or 1
+        lo = child.end - size + 1
         while not (lo <= pos <= lo + size - 1):
             size *= 2
             lo = (lo // size) * size
         # Minimality of the doubling puts child and pos in different halves.
-        lca = SstNode(lo, lo + size - 1, 0, 0)
-        mid = lo + (size - 1) // 2
-        child_on_left = child.start <= mid
+        mid = lo + size // 2 - 1
+        lca = SstNode(mid, lo + size - 1, 0, 0)
+        child_on_left = child.end <= mid
         if _better(val, pos, child.min, child.pos):
             lca.min, lca.pos = val, pos
             if child_on_left:
@@ -308,12 +324,12 @@ class SuffixMinArray:
         nd = self._root
         parent: SstNode | None = None
         on_left = False
-        while nd is not None and nd.start <= i <= nd.end:
+        # As in value_at: a subtree that does not cover i owns no entry at i.
+        while nd is not None:
             if nd.pos == i:
                 break
-            mid = nd.start + (nd.end - nd.start) // 2
             parent = nd
-            on_left = i <= mid
+            on_left = i <= nd.mid
             nd = nd.left if on_left else nd.right
         else:
             return False

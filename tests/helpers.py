@@ -106,6 +106,37 @@ def tree_shape(arr) -> dict[tuple[int, int], tuple]:
     return out
 
 
+def check_tree(arr) -> None:
+    """Assert the structural invariants of every node of a SuffixMinArray:
+    the root covers the whole span; each range is an aligned power of two
+    inside it; mid is the last index of the left half (end for a one-index
+    node); pos lies in the range; each child lies inside the correct half;
+    and each node's (min, pos) beats every descendant's (smaller min, or an
+    equal min at a larger index)."""
+    span = arr._span
+    root = arr._root
+    if root is None:
+        return
+    assert (root.start, root.end) == (0, span - 1)
+    stack = [(root, ())]
+    while stack:
+        nd, above = stack.pop()
+        lo, hi = nd.start, nd.end
+        size = hi - lo + 1
+        assert 0 <= lo <= hi < span
+        assert size & (size - 1) == 0 and lo % size == 0
+        assert nd.mid == (hi if size == 1 else lo + size // 2 - 1)
+        assert lo <= nd.pos <= hi
+        for mn, pos in above:
+            assert mn < nd.min or (mn == nd.min and pos > nd.pos)
+        above = above + ((nd.min, nd.pos),)
+        for child, half_lo, half_hi in ((nd.left, lo, nd.mid), (nd.right, nd.mid + 1, hi)):
+            if child is not None:
+                assert size > 1
+                assert half_lo <= child.start and child.end <= half_hi
+                stack.append((child, above))
+
+
 class RefOrder:
     """Naive partial order over k chains: explicit edge list + BFS per query.
 

@@ -165,6 +165,15 @@ def test_satcheck_malformed_trace(tmp_path, capsys):
     assert main(["satcheck", str(p)]) == 1
 
 
+def test_satcheck_rejects_an_unknown_event_kind(tmp_path, capsys):
+    p = tmp_path / "t.trace"
+    p.write_text("e 0 0 w x 1\ne 0 1 q x 2\ne 1 0 r x 1\no 0 1 1 0\n")
+    assert main(["satcheck", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert "kind must be w or r, got 'q'" in err
+    assert "Traceback" not in err
+
+
 def test_satcheck_rejects_a_gap_in_thread_ids(tmp_path, capsys):
     p = tmp_path / "t.trace"
     p.write_text("e 0 0 w x 1\ne 600 0 r x 1\n")

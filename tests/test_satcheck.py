@@ -272,6 +272,8 @@ def test_predecessor_masks_match_pairwise_reachable():
         ([_ev(0, 0, "w", "x", 1), _ev(0, 0, "r", "x", 1)], []),
         ([_ev(0, 1, "w", "x", 1)], []),
         ([], []),
+        # a kind that is neither w nor r
+        ([_ev(0, 0, "w", "x", 1), _ev(0, 1, "q", "x", 2), _ev(1, 0, "r", "x", 1)], [(0, 1, 1, 0)]),
     ],
 )
 def test_check_rejects_invalid_input_before_building_the_order(events, orders):

@@ -128,6 +128,29 @@ def test_value_ties_prefer_larger_index():
     assert a.min_suffix(3) == 4
 
 
+def test_absent_index_beside_a_compressed_child():
+    # Lookups and deletes at an absent index descend by mid until the path
+    # ends; here the path passes a compressed child that does not cover it.
+    a = SuffixMinArray(8)
+    for i, v in [(0, 30), (1, 40), (6, 50), (7, 60)]:
+        a.update(i, v)
+    shape = {
+        (0, 7): (30, 0),
+        (1, 1): (40, 1),  # left half [0, 3]: 2 and 3 lie right of it
+        (6, 7): (50, 6),  # right half [4, 7]: 4 and 5 lie left of it
+        (7, 7): (60, 7),
+    }
+    entries = {0: 30, 1: 40, 6: 50, 7: 60}
+    assert tree_shape(a) == shape
+    for i in (2, 3, 4, 5):
+        assert a.value_at(i) == INF
+        a.update(i, INF)
+        assert a.density() == 4
+        assert a.entries() == entries
+        assert tree_shape(a) == shape
+    assert [a.value_at(i) for i in (0, 1, 6, 7)] == [30, 40, 50, 60]
+
+
 def test_grow_preserves_entries():
     a = SuffixMinArray(4)
     for i, v in enumerate([6, 9, 8, 10]):

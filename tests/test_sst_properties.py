@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from csst.baselines import DenseMinArray
 from csst.sst import INF, SuffixMinArray
-from helpers import RefArray
+from helpers import RefArray, check_tree
 
 # An op is either ("set", i, v), ("del", i) or ("grow", extra).
 def _ops(max_cap: int):
@@ -62,7 +62,9 @@ _CHAIN = (0, 1, 3, 7, 15, 31, 63, 127, 255, 299)
 def test_matches_mirror(cap, ops):
     arr = SuffixMinArray(cap)
     ref = RefArray(cap)
-    _apply(arr, ref, ops)
+    for op in ops:
+        _apply(arr, ref, [op])
+        check_tree(arr)
     for i in range(ref.capacity):
         assert arr.min_suffix(i) == ref.min_suffix(i)
     for v in range(0, 42):

@@ -30,13 +30,13 @@ def main():
 
     print("\ncross-chain density (distinct sources per chain):", po.density())
 
-    # the cycle guard is off by default; with it on, a back edge is refused
-    guarded = DynamicPartialOrder(2, [2, 2], cycle_guard=True)
-    guarded.insert_edge(NodeId(0, 0), NodeId(1, 0))
-    try:
-        guarded.insert_edge(NodeId(1, 1), NodeId(0, 0))
-    except Exception as e:
-        print("\ncycle guard refused a back edge:", e)
+    # csst-dyn accepts a cycle-closing edge and answers over the cycle
+    cyc = DynamicPartialOrder(2, [2, 2])
+    cyc.insert_edge(NodeId(0, 0), NodeId(1, 0))
+    cyc.insert_edge(NodeId(1, 1), NodeId(0, 0))
+    print("\ntwo-edge cycle (0,0) -> (1,0), (1,1) -> (0,0):")
+    print("  reachable((1,1), (0,1)):", cyc.reachable(NodeId(1, 1), NodeId(0, 1)))
+    print("  successors((1,1)):", cyc.successors(NodeId(1, 1)))
 
 
 if __name__ == "__main__":

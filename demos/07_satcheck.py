@@ -1,6 +1,6 @@
 """Consistency checking as saturation: bind each read to a candidate write,
-force the orderings that binding entails, and let the cycle guard veto
-impossible candidates. Deletion support is what makes the backtracking
+force the orderings that binding entails, and veto a candidate whose
+orderings would close a cycle, read off the rows the forcing already holds. Deletion support is what makes the backtracking
 cheap, bad candidates roll back their edges exactly."""
 
 from csst.harness import parse_trace

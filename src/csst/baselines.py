@@ -131,6 +131,17 @@ class VectorClockPO(PartialOrderBase):
         r = self._entry(u.chain, u.index, t1)
         return None if r < 0 else r
 
+    def _predecessors(self, u: NodeId):
+        # u's clock row, as _entry reads it entry by entry.
+        t, i = u
+        rows = self._rows[t]
+        if rows:
+            row = [None if r < 0 else r for r in rows[min(i, len(rows) - 1)]]
+        else:
+            row = [None] * self.k
+        row[t] = i
+        return row
+
     # -- introspection -----------------------------------------------------------
 
     def materialized_rows(self) -> int:
@@ -237,6 +248,18 @@ class GraphPO(PartialOrderBase):
     def _predecessor(self, u: NodeId, t1: int):
         r = self._flood_bwd(u.chain, u.index)[t1]
         return None if r < 0 else r
+
+    # On a cyclic order a flood can cover u's own chain past u; the row's
+    # own slot is u.index all the same, as successor() and predecessor() say.
+    def _successors(self, u: NodeId):
+        row = [None if r == INF else r for r in self._flood_fwd(u.chain, u.index)]
+        row[u.chain] = u.index
+        return row
+
+    def _predecessors(self, u: NodeId):
+        row = [None if r < 0 else r for r in self._flood_bwd(u.chain, u.index)]
+        row[u.chain] = u.index
+        return row
 
 
 class DenseMinArray:

@@ -83,6 +83,9 @@ class PartialOrderBase:
     implement _insert_edge, _delete_edge, _successor, _predecessor,
     _reachable and optionally _grow. The base handles argument validation and
     the same-chain trivial cases; _reachable sees only valid cross-chain pairs.
+    The row queries _successors and _predecessors default to one _successor
+    or _predecessor per other chain; a backend that computes the whole row
+    anyway overrides them.
     """
 
     def __init__(self, k: int, lengths: list[int] | tuple[int, ...]):
@@ -142,6 +145,18 @@ class PartialOrderBase:
             return u.index
         return self._predecessor(u, t1)
 
+    def successors(self, u: NodeId) -> list[int | None]:
+        """successor(u, t) for every chain t, as one k-list: u's own chain
+        holds u.index, and a chain u reaches nothing on holds None."""
+        self._check_node(u)
+        return self._successors(u)
+
+    def predecessors(self, u: NodeId) -> list[int | None]:
+        """predecessor(u, t) for every chain t, as one k-list: u's own chain
+        holds u.index, and a chain with nothing reaching u holds None."""
+        self._check_node(u)
+        return self._predecessors(u)
+
     def reachable(self, u: NodeId, v: NodeId) -> bool:
         """True iff u precedes-or-equals v in the current order."""
         self._check_node(u)
@@ -173,6 +188,13 @@ class PartialOrderBase:
 
     def _predecessor(self, u: NodeId, t1: int) -> int | None:
         raise NotImplementedError
+
+    def _successors(self, u: NodeId) -> list[int | None]:
+        # Default: one _successor per other chain.
+        return [u.index if t == u.chain else self._successor(u, t) for t in range(self.k)]
+
+    def _predecessors(self, u: NodeId) -> list[int | None]:
+        return [u.index if t == u.chain else self._predecessor(u, t) for t in range(self.k)]
 
     def _reachable(self, u: NodeId, v: NodeId) -> bool:
         raise NotImplementedError

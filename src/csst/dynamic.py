@@ -56,17 +56,18 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from .core import ChainPairOrder, NodeId, cycle_detected, duplicate_edge, missing_edge
+from .core import ChainPairOrder, NodeId, duplicate_edge, missing_edge
 from .sst import INF
 
 
 class DynamicPartialOrder(ChainPairOrder):
-    """With cycle_guard set, an insert that would close a cycle raises
-    CycleDetected; the test costs one closure per insert."""
+    """arrays[t1 * k + t2] maps j1 -> least direct target on chain t2 of an
+    edge leaving (t1, j1). Any edge may be inserted, cycle-closing ones
+    included, and every query answers over the order as it stands. A row
+    query (successors, predecessors) costs one closure, as does one entry."""
 
-    def __init__(self, k: int, lengths, cycle_guard: bool = False):
+    def __init__(self, k: int, lengths):
         super().__init__(k, lengths)
-        self.cycle_guard = cycle_guard
         # (t1, j1, t2) -> ascending list of the distinct live target indices
         # (the direct edges backing the array entry).
         self._store: dict[tuple[int, int, int], list[int]] = {}
@@ -94,8 +95,6 @@ class DynamicPartialOrder(ChainPairOrder):
             i = bisect_left(lst, j2)
             if i < len(lst) and lst[i] == j2:
                 raise duplicate_edge(u, v)
-        if self.cycle_guard and self._reachable(v, u):
-            raise cycle_detected(u, v)
         if lst is None:
             self._store[key] = [j2]
             cur = INF
@@ -206,6 +205,16 @@ class DynamicPartialOrder(ChainPairOrder):
     def _predecessor(self, u: NodeId, t1: int):
         r = self._closure(False, u.chain, u.index)[t1]
         return None if r < 0 else r
+
+    def _successors(self, u: NodeId):
+        row = [None if r == INF else r for r in self._closure(True, u.chain, u.index)]
+        row[u.chain] = u.index
+        return row
+
+    def _predecessors(self, u: NodeId):
+        row = [None if r == -1 else r for r in self._closure(False, u.chain, u.index)]
+        row[u.chain] = u.index
+        return row
 
     def _reachable(self, u: NodeId, v: NodeId) -> bool:
         return self._closure(True, u.chain, u.index, v.chain, v.index)[v.chain] <= v.index

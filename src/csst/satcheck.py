@@ -13,24 +13,32 @@ inserts w -> r, then forces, for every other write w' to the same variable:
     w  reaches w'  =>  r comes before w'   (insert r -> w')
     w' reaches r   =>  w' comes before w   (insert w' -> w)
 
-Both tests read whole rows: after w -> r, one `successor` row of w and one
-`predecessor` row of r, 2(k-1) queries per candidate over k threads, answer
-them for every w'. A forced ordering that contradicts program order or
-closes a cycle kills the candidate; all edges inserted for it are rolled
-back (exact deletes restore the prior direct edges) and the next candidate
-is tried, backtracking across reads. An accepted assignment is finally
-validated by searching for one concrete interleaving, so the verdict
-matches exhaustive enumeration. That search needs each event's
-predecessors as a bitmask; `predecessor_masks` builds them with n(k-1)
-`predecessor` queries over n events. It memoizes on (scheduled-set, last
-write per variable) and is only meant for short traces.
+Both tests read two rows per candidate: after w -> r, w's `successors` row
+and r's `predecessors` row answer them for every w'. The checker decides
+every cycle itself, and the order never has one:
+
+- w -> r, and each up-front ordering u -> v, closes a cycle exactly when v
+  reaches u, which one `reachable` tests before the insert.
+- r -> w' is forced only where w reaches w', so it closes a cycle exactly
+  when w' also reaches r, which r's row already says.
+- w' -> w is forced only where w does not reach w', so it closes none.
+
+A candidate whose edges would close a cycle, or contradict program order,
+is dead: all edges inserted for it are rolled back (exact deletes restore
+the prior direct edges) and the next candidate is tried, backtracking
+across reads. An accepted assignment is finally validated by searching for
+one concrete interleaving, so the verdict matches exhaustive enumeration.
+That search needs each event's predecessors as a bitmask;
+`predecessor_masks` builds them from one `predecessors` row per event, n
+row queries over n events. It memoizes on (scheduled-set, last write per
+variable) and is only meant for short traces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import NodeId, PartialOrderBase, PoError, PoErrorKind
+from .core import NodeId, PartialOrderBase
 from .dynamic import DynamicPartialOrder
 from .harness import TraceEvent, validate_trace
 
@@ -49,18 +57,22 @@ class _Candidate:
         self.po = po
         self.inserted: list[tuple[NodeId, NodeId]] = []
 
-    def order(self, u: NodeId, v: NodeId) -> bool:
-        """Require u before v; returns False when that is impossible now."""
+    def order(self, u: NodeId, v: NodeId) -> None:
+        """Require u before v, which the caller knows closes no cycle (on
+        one thread, u is already the earlier event)."""
+        if u.chain != v.chain and not self.po.reachable(u, v):
+            self.po.insert_edge(u, v)
+            self.inserted.append((u, v))
+
+    def order_checked(self, u: NodeId, v: NodeId) -> bool:
+        """Require u before v; returns False when v already reaches u."""
         if u.chain == v.chain:
             return u.index < v.index
         if self.po.reachable(u, v):
             return True
-        try:
-            self.po.insert_edge(u, v)
-        except PoError as e:
-            if e.kind is PoErrorKind.CYCLE_DETECTED:
-                return False
-            raise
+        if self.po.reachable(v, u):
+            return False
+        self.po.insert_edge(u, v)
         self.inserted.append((u, v))
         return True
 
@@ -76,11 +88,11 @@ def check(events: list[TraceEvent], orders=()) -> CheckResult:
     contradict program order or each other."""
     lengths = validate_trace(events, orders)
     k = len(lengths)
-    po = DynamicPartialOrder(k, lengths, cycle_guard=True)
+    po = DynamicPartialOrder(k, lengths)
 
     pre = _Candidate(po)
     for t1, j1, t2, j2 in orders:
-        if not pre.order(NodeId(t1, j1), NodeId(t2, j2)):
+        if not pre.order_checked(NodeId(t1, j1), NodeId(t2, j2)):
             raise ValueError(f"initial orderings are contradictory at {(t1, j1, t2, j2)}")
 
     # Per-event data is indexed by position in `events`.
@@ -91,38 +103,34 @@ def check(events: list[TraceEvent], orders=()) -> CheckResult:
             writes_by_var.setdefault(ev.var, []).append(e)
     reads = [e for e, ev in enumerate(events) if ev.kind == "r"]
     binding = [-1] * len(reads)  # binding[i]: position of the write reads[i] observes
-    chains = range(k)
 
     def try_bind(r: int, w: int) -> _Candidate | None:
         nw, nr = node[w], node[r]
         cand = _Candidate(po)
-        if not cand.order(nw, nr):
-            cand.rollback()
+        if not cand.order_checked(nw, nr):
             return None
         # w's successor row and r's predecessor row, read once: o is after w
         # iff succ[o.chain] <= o.index, and before r iff o.index <= pred[o.chain].
-        # Every insert below keeps both rows exact. r -> o is made only where w
-        # already reaches o, so all it adds to w's successors o already had;
-        # o -> w only where o already reaches r, so all it adds to r's
-        # predecessors already reached r. Anything more would close a cycle
-        # (o reaching r, or w reaching o, ahead of the new edge), which the
-        # cycle guard refuses, and then the candidate is rolled back.
-        succ = [nw.index if t == nw.chain else po.successor(nw, t) for t in chains]
-        pred = [nr.index if t == nr.chain else po.predecessor(nr, t) for t in chains]
+        # Both stay exact while the loop inserts, because the tests here keep
+        # the order acyclic. r -> o goes in only where w reaches o and o does
+        # not reach r, so all it adds to w's successors o already had; o -> w
+        # only where o reaches r, so all it adds to r's predecessors already
+        # reached r.
+        succ = po.successors(nw)
+        pred = po.predecessors(nr)
         for o in writes_by_var[events[r].var]:
             if o == w:
                 continue
             no = node[o]
             s, p = succ[no.chain], pred[no.chain]
+            before_r = p is not None and no.index <= p
             if s is not None and s <= no.index:
-                ok = cand.order(nr, no)
-            elif p is not None and no.index <= p:
-                ok = cand.order(no, nw)
-            else:
-                continue
-            if not ok:
-                cand.rollback()
-                return None
+                if before_r:  # r -> o would close a cycle through w -> r
+                    cand.rollback()
+                    return None
+                cand.order(nr, no)
+            elif before_r:
+                cand.order(no, nw)
         return cand
 
     def assign() -> bool:
@@ -168,8 +176,8 @@ def predecessor_masks(po: PartialOrderBase, nodes: list[NodeId]) -> list[int]:
     """masks[b] has bit a set iff a != b and nodes[a] reaches nodes[b].
 
     nodes must list every event of po exactly once. Chain t's events that
-    reach a node form a prefix of t, so each node costs one `predecessor`
-    per other chain, ORed in as a prefix bitmask.
+    reach a node form a prefix of t, so each node costs one `predecessors`
+    row, each entry ORed in as a prefix bitmask.
     """
     prefix = [[0] * n for n in po.lengths]  # prefix[t][j]: bits of (t, 0..j)
     for e, (t, j) in enumerate(nodes):
@@ -177,16 +185,13 @@ def predecessor_masks(po: PartialOrderBase, nodes: list[NodeId]) -> list[int]:
     for row in prefix:
         for j in range(1, len(row)):
             row[j] |= row[j - 1]
-    others = [[c for c in range(po.k) if c != t] for t in range(po.k)]
     masks = []
-    for u in nodes:
-        t, j = u
-        m = prefix[t][j - 1] if j else 0
-        for c in others[t]:
-            p = po.predecessor(u, c)
+    for e, u in enumerate(nodes):
+        m = 0
+        for c, p in enumerate(po.predecessors(u)):
             if p is not None:
                 m |= prefix[c][p]
-        masks.append(m)
+        masks.append(m & ~(1 << e))
     return masks
 
 

@@ -69,6 +69,8 @@ def test_query_contract_is_shared_by_every_order(name):
             lambda: po.reachable(ok, bad),
             lambda: po.successor(bad, 1),
             lambda: po.predecessor(bad, 1),
+            lambda: po.successors(bad),
+            lambda: po.predecessors(bad),
         ):
             with pytest.raises(PoError) as e:
                 call()

@@ -135,8 +135,24 @@ class _BrokenGraph(harness.BACKENDS["graph"]):
         return None if r is None else r + 1
 
 
+class _BrokenGraphRows(harness.BACKENDS["graph"]):
+    # answers every predecessor single entry right, but predecessors rows
+    # off by one off u's own chain when an entry exists
+    def _predecessors(self, u):
+        row = super()._predecessors(u)
+        return [p if p is None or t == u.chain else p + 1 for t, p in enumerate(row)]
+
+
 def test_fuzz_catches_a_planted_bug_and_shrinks(monkeypatch):
-    monkeypatch.setitem(harness.BACKENDS, "graph", _BrokenGraph)
+    _catches_and_shrinks(monkeypatch, _BrokenGraph)
+
+
+def test_fuzz_catches_a_planted_row_bug_and_shrinks(monkeypatch):
+    _catches_and_shrinks(monkeypatch, _BrokenGraphRows)
+
+
+def _catches_and_shrinks(monkeypatch, broken):
+    monkeypatch.setitem(harness.BACKENDS, "graph", broken)
     clean, report = fuzz(7, 40, FuzzOptions(max_updates=30, max_queries=80))
     assert report is not None
     assert "backend graph" in report

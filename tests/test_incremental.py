@@ -89,7 +89,7 @@ def test_validation_errors():
     assert e.value.kind == PoErrorKind.OUT_OF_RANGE
 
 
-def test_cycle_guard():
+def test_refuses_a_cycle_closing_insert():
     # csst-inc and st refuse a cycle-closing insert with no option: after
     # the implied-edge probe, one probe finds v reaching u, and the refusal
     # comes before any update.
@@ -250,7 +250,7 @@ def test_reinsert_implied_edge_costs_one_probe():
 
 @settings(max_examples=80, deadline=None)
 @given(k=st.integers(2, 4), data=st.data())
-def test_cycle_guard_refuses_exactly_the_cycles(k, data):
+def test_refuses_exactly_the_cycles(k, data):
     # The closure needs an acyclic order, so csst-inc and st refuse
     # precisely the inserts that close a cycle, and every answer after that
     # is defined.

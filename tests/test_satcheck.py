@@ -1,3 +1,4 @@
+import importlib.util
 import itertools
 import pathlib
 import random
@@ -111,6 +112,92 @@ def test_contradictory_initial_orderings_raise():
         check(events, [(0, 1, 0, 0)])  # against program order
     with pytest.raises(ValueError):
         check(events, [(0, 0, 1, 0), (1, 0, 0, 0)])  # two-edge cycle
+    events.append(_ev(1, 1, "w", "x", 3))
+    with pytest.raises(ValueError):
+        # (0, 1) -> (1, 0), then program order to (1, 1), then back to (0, 0)
+        check(events, [(0, 1, 1, 0), (1, 1, 0, 0)])
+
+
+def _spy_inserts(monkeypatch):
+    """Log every insert_edge that check() makes, and require that none of
+    them closes a cycle: the order check() builds stays acyclic."""
+    inserted = []
+    insert = DynamicPartialOrder.insert_edge
+
+    def spy(po, u, v):
+        assert not po.reachable(v, u), (u, v)
+        inserted.append((tuple(u), tuple(v)))
+        return insert(po, u, v)
+
+    monkeypatch.setattr(DynamicPartialOrder, "insert_edge", spy)
+    return inserted
+
+
+def test_forced_ordering_into_a_cycle_kills_the_candidate(monkeypatch):
+    # The read (1,0) tries (0,0) first, which already reaches it through
+    # (0,1) and the pinned ordering. (0,0) reaches the other x write (0,1),
+    # so (1,0) -> (0,1) would be forced; but (0,1) reaches the read, so that
+    # edge closes a cycle. The candidate dies on its rows with no insert,
+    # and the read binds the next x=1 write, (2,0).
+    inserted = _spy_inserts(monkeypatch)
+    events = [
+        _ev(0, 0, "w", "x", 1),
+        _ev(0, 1, "w", "x", 2),
+        _ev(1, 0, "r", "x", 1),
+        _ev(2, 0, "w", "x", 1),
+    ]
+    orders = [(0, 1, 1, 0)]
+    res = check(events, orders)
+    assert res.consistent
+    assert res.bindings == [(NodeId(1, 0), NodeId(2, 0))]
+    assert inserted == [
+        ((0, 1), (1, 0)),  # the pinned ordering
+        ((2, 0), (1, 0)),  # second candidate
+        ((0, 0), (2, 0)),  # forced: (0,0) reaches the read
+        ((0, 1), (2, 0)),  # forced: (0,1) reaches the read
+    ]
+    assert interleaving_with_binding(events, orders, {2: 3})
+
+
+def test_first_edge_closing_a_cycle_is_refused(monkeypatch):
+    # The read (1,0) reaches the x=1 write (0,0) through two pinned
+    # orderings, so (0,0) -> (1,0) would close a cycle: it is never
+    # inserted, and the read binds the later x=1 write (3,0).
+    inserted = _spy_inserts(monkeypatch)
+    events = [
+        _ev(0, 0, "w", "x", 1),
+        _ev(1, 0, "r", "x", 1),
+        _ev(2, 0, "w", "y", 5),
+        _ev(3, 0, "w", "x", 1),
+    ]
+    orders = [(1, 0, 2, 0), (2, 0, 0, 0)]
+    res = check(events, orders)
+    assert res.consistent
+    assert res.bindings == [(NodeId(1, 0), NodeId(3, 0))]
+    assert inserted == [((1, 0), (2, 0)), ((2, 0), (0, 0)), ((3, 0), (1, 0))]
+    assert not interleaving_with_binding(events, orders, {1: 0})
+
+
+def _seed3_pool():
+    """The traces of the benchmark's satcheck workload at seed 3."""
+    path = pathlib.Path(__file__).parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [parse_trace(text) for text in workloads.Satcheck(3).texts]
+
+
+def test_no_insert_closes_a_cycle(monkeypatch):
+    # check() decides every cycle itself, so each edge it inserts finds the
+    # reverse direction unreachable: on the benchmark's seed-3 pool, and on
+    # small random traces, where candidates die and roll back.
+    pool = _seed3_pool()
+    rng = random.Random(606)
+    pool += [random_trace(rng, max_events=12) for _ in range(300)]
+    inserted = _spy_inserts(monkeypatch)
+    for events, orders in pool:
+        check(events, orders)
+    assert len(inserted) > 20000
 
 
 def test_pinned_trace_rejects_first_candidate_then_accepts():
@@ -239,7 +326,7 @@ def test_predecessor_masks_match_pairwise_reachable():
         # the order stays acyclic; chains outside `linked` get no cross edge.
         ts = {(t, j): j * k + rng.randrange(k) for t in range(k) for j in range(lengths[t])}
         linked = [t for t in range(k) if rng.random() < 0.75]
-        po = DynamicPartialOrder(k, lengths, cycle_guard=True)
+        po = DynamicPartialOrder(k, lengths)
         nodes = [NodeId(t, j) for t in range(k) for j in range(lengths[t])]
         live = []
         for _ in range(rng.randint(0, 12)):

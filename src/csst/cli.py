@@ -6,7 +6,8 @@
     csst satcheck <trace>
 
 Exit codes: 0 on success (including an INCONSISTENT satcheck verdict),
-1 on usage or input errors, 2 when fuzzing finds a disagreement.
+1 on usage or input errors (an input too large to allocate included),
+2 when fuzzing finds a disagreement.
 """
 
 from __future__ import annotations
@@ -152,6 +153,10 @@ def main(argv=None) -> int:
         return handlers[args.cmd](args)
     except (PoError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory: the input asks for more space than can be allocated",
+              file=sys.stderr)
         return 1
 
 

@@ -16,7 +16,7 @@ Replay prints one line per query op:
     pred -> <index|none>
     reach -> <true|false>
 
-Trace format for the consistency checker (shared here for parsing):
+Trace format for the consistency checker, read into `satcheck.TraceEvent`s:
 
     e <thread> <index> <w|r> <var> <value>
     o <t1> <j1> <t2> <j2>        optional: orderings established up front
@@ -34,10 +34,11 @@ import time
 from dataclasses import dataclass
 
 from .baselines import GraphPO, PlainStPO, VectorClockPO
-from .core import NodeId, PartialOrderBase, PoError
+from .core import NodeId, PartialOrderBase, PoError, PoErrorKind
 from .dynamic import DynamicPartialOrder
 from .incremental import IncrementalPartialOrder
 from .oracle import BruteForcePartialOrder
+from .satcheck import TraceEvent, validate_trace
 from .sst import INF
 
 BACKENDS = {
@@ -58,6 +59,18 @@ def make_backend(name: str, k: int, lengths) -> PartialOrderBase:
     except KeyError:
         raise ValueError(f"unknown backend {name!r} (choose from {sorted(BACKENDS)})")
     return cls(k, lengths)
+
+
+def _refuses_deletes(name: str) -> bool:
+    """Whether backend `name` answers a delete with DeleteUnsupported."""
+    po = make_backend(name, 2, [1, 1])
+    u, v = NodeId(0, 0), NodeId(1, 0)
+    po.insert_edge(u, v)
+    try:
+        po.delete_edge(u, v)
+    except PoError as e:
+        return e.kind is PoErrorKind.DELETE_UNSUPPORTED
+    return False
 
 
 # -- op logs -----------------------------------------------------------------------
@@ -156,43 +169,6 @@ def replay(records: list[OpRecord], backend: str) -> list[str]:
 
 
 # -- traces ------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TraceEvent:
-    thread: int
-    index: int
-    kind: str  # "w" | "r"
-    var: str
-    value: int
-
-
-def validate_trace(events: list[TraceEvent], orders=()) -> list[int]:
-    """Raise ValueError unless every event is a write or a read, the events
-    fill threads 0..T-1, each with indices 0..n-1 and no slot twice, and
-    every ordering names two of them. Returns each thread's event count."""
-    if not events:
-        raise ValueError("empty trace")
-    per: dict[int, set[int]] = {}
-    for ev in events:
-        if ev.kind not in ("w", "r"):
-            raise ValueError(f"event {(ev.thread, ev.index)}: kind must be w or r, got {ev.kind!r}")
-        idxs = per.setdefault(ev.thread, set())
-        if ev.index in idxs:
-            raise ValueError(f"duplicate event slot {(ev.thread, ev.index)}")
-        idxs.add(ev.index)
-    if set(per) != set(range(len(per))):
-        raise ValueError(
-            f"thread ids must run 0..T-1 with every thread present; "
-            f"got {len(per)} threads with ids {min(per)}..{max(per)}"
-        )
-    for t, idxs in per.items():
-        if idxs != set(range(len(idxs))):
-            raise ValueError(f"thread {t}: event indices must be 0..n-1 with no gaps")
-    for t1, j1, t2, j2 in orders:
-        if j1 not in per.get(t1, ()) or j2 not in per.get(t2, ()):
-            raise ValueError(f"ordering {(t1, j1, t2, j2)} names a missing event")
-    return [len(per[t]) for t in range(len(per))]
 
 
 def parse_trace(text: str) -> tuple[list[TraceEvent], list[tuple[int, int, int, int]]]:
@@ -321,10 +297,25 @@ class DifferentialRun:
             self.ops.append(rec)
             return rec
 
-        def apply_all(rec: OpRecord) -> None:
-            _apply(oracle, rec)
-            for po in impls.values():
-                _apply(po, rec)
+        def agree(fn, rec: OpRecord, what: str) -> bool:
+            """fn(po, rec) on every backend returns what it returns on the
+            oracle; otherwise records the failure and returns False."""
+            want = fn(oracle, rec)
+            for name, po in impls.items():
+                try:
+                    got = fn(po, rec)
+                except PoError as e:
+                    self.failure = (
+                        f"backend {name} raised {e} on `{rec.line()}`; the oracle did not"
+                    )
+                    return False
+                if got != want:
+                    self._fail(name, what, want, got)
+                    return False
+            return True
+
+        def apply_all(rec: OpRecord) -> bool:
+            return agree(_apply, rec, rec.line())
 
         steps = n_upd + n_q
         upd_left, q_left = n_upd, n_q
@@ -336,7 +327,8 @@ class DifferentialRun:
                 if r < GROW_PROB:
                     t = rng.randrange(k)
                     new_len = lengths[t] + rng.randint(1, 16)
-                    apply_all(record("grow", t, new_len))
+                    if not apply_all(record("grow", t, new_len)):
+                        return
                     lengths[t] = new_len
                     if opts.check_heights:
                         self._check_tree_bounds(impls)
@@ -344,7 +336,8 @@ class DifferentialRun:
                     e = live.pop(rng.randrange(len(live)))
                     edge_set.discard(e)
                     t1, j1, t2, j2 = e
-                    apply_all(record("del", *e))
+                    if not apply_all(record("del", *e)):
+                        return
                     if dyn is not None and opts.check_invariants:
                         self._check_dyn_invariants(dyn, t1, j1, t2)
                     if self.failure is None and opts.check_heights:
@@ -362,7 +355,8 @@ class DifferentialRun:
                             continue
                         if oracle.reachable(NodeId(t2, j2), NodeId(t1, j1)):
                             continue
-                        apply_all(record("ins", *e))
+                        if not apply_all(record("ins", *e)):
+                            return
                         live.append(e)
                         edge_set.add(e)
                         if dyn is not None and opts.check_invariants:
@@ -382,20 +376,11 @@ class DifferentialRun:
                 if kind == "reach":
                     args += (rng.randrange(lengths[t2]),)
                 rec = record(kind, *args)
-                want = _ask(oracle, rec)
-                for name, po in impls.items():
-                    got = _ask(po, rec)
-                    if got != want:
-                        self._fail(name, rec.line(), want, got)
-                        return
-                if kind != "reach":
-                    # The whole row the query's entry belongs to, entry by entry.
-                    want = _row(oracle, rec)
-                    for name, po in impls.items():
-                        got = _row(po, rec)
-                        if got != want:
-                            self._fail(name, f"the row of {rec.line()}", want, got)
-                            return
+                if not agree(_ask, rec, rec.line()):
+                    return
+                # The whole row the query's entry belongs to, entry by entry.
+                if kind != "reach" and not agree(_row, rec, f"the row of {rec.line()}"):
+                    return
                 if dyn is not None:
                     self.observed_rounds = dyn.max_closure_rounds
                     if dyn.max_closure_rounds > k:
@@ -460,12 +445,19 @@ def _answers(records: list[OpRecord], backend: str) -> list:
 
 def _oplog_disagrees(records: list[OpRecord], names: list[str]) -> bool:
     """True when the log's answers differ between some backend and the
-    oracle; used by the shrinker."""
+    oracle, or a backend raises where the oracle answers; used by the
+    shrinker."""
     try:
         want = _answers(records, "oracle")
-        return any(_answers(records, n) != want for n in names)
     except (PoError, ValueError):
         return False  # an invalid candidate is not a reproducer
+    for n in names:
+        try:
+            if _answers(records, n) != want:
+                return True
+        except PoError:
+            return True  # the oracle answers the whole log; this backend raises
+    return False
 
 
 def shrink_oplog(records: list[OpRecord], names: list[str], budget: int = 300) -> list[OpRecord]:
@@ -487,7 +479,13 @@ def shrink_oplog(records: list[OpRecord], names: list[str], budget: int = 300) -
 
 
 def fuzz(seed: int, runs: int, opts: FuzzOptions, backends: list[str] | None = None):
-    """Run seeded differential workloads. Returns (clean_runs, report|None)."""
+    """Run seeded differential workloads. Returns (clean_runs, report|None).
+    Raises ValueError up front when deletes are asked of an insert-only
+    backend, so that no log, shrunk or not, makes one delete."""
+    if opts.delete_frac > 0:
+        for name in backends or ():
+            if _refuses_deletes(name):
+                raise ValueError(f"backend {name} is insert-only; it cannot be fuzzed with deletes")
     for i in range(runs):
         run = DifferentialRun(seed * 1_000_003 + i, opts, backends)
         run.run()

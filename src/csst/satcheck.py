@@ -1,11 +1,11 @@
 """Read-from consistency checking by saturating a dynamic partial order.
 
-Input: a trace of per-thread write/read events (see `harness.parse_trace`),
-optionally with orderings established up front. `check` validates both with
-`harness.validate_trace` before it builds the order. The checker decides
-whether every read can observe a same-variable write of its value under
-SOME interleaving that respects program order, the given orderings, and
-write atomicity (a read sees the latest write).
+Input: per-thread writes and reads as `TraceEvent`s, which
+`harness.parse_trace` reads from text, and orderings established up front;
+`validate_trace` checks both. The checker decides whether every read can
+observe a same-variable write of its value under SOME interleaving that
+respects program order, the orderings, and write atomicity (a read sees
+the latest write).
 
 Method: reads are bound to candidate writes in trace order. Binding w to r
 inserts w -> r, then forces, for every other write w' to the same variable:
@@ -26,21 +26,57 @@ every cycle itself, and the order never has one:
 A candidate whose edges would close a cycle, or contradict program order,
 is dead: all edges inserted for it are rolled back (exact deletes restore
 the prior direct edges) and the next candidate is tried, backtracking
-across reads. An accepted assignment is finally validated by searching for
-one concrete interleaving, so the verdict matches exhaustive enumeration.
-That search needs each event's predecessors as a bitmask;
-`predecessor_masks` builds them from one `predecessors` row per event, n
-row queries over n events. It memoizes on (scheduled-set, last write per
-variable) and is only meant for short traces.
+across reads. A full binding is accepted once a search finds one concrete
+interleaving, so the verdict matches exhaustive enumeration. An event fires
+after every event on its `predecessors` row; a write to x also waits while
+some read of x is unfired and its bound write fired. Whether an event may
+fire then depends only on the fired set, a cut (one count per thread): the
+search visits at most prod(n_t + 1) cuts and reads n `predecessors` rows
+over n events (cf. Gibbons & Korach, "Testing Shared Memories", 1997).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import le
 
 from .core import NodeId, PartialOrderBase
 from .dynamic import DynamicPartialOrder
-from .harness import TraceEvent, validate_trace
+
+
+@dataclass(frozen=True)
+class TraceEvent:
+    thread: int
+    index: int
+    kind: str  # "w" | "r"
+    var: str
+    value: int
+
+
+def validate_trace(events: list[TraceEvent], orders=()) -> list[int]:
+    """Raise ValueError unless every event is a write or a read, the events
+    fill threads 0..T-1, each with indices 0..n-1 and no slot twice, and
+    every ordering names two of them. Returns each thread's event count."""
+    if not events:
+        raise ValueError("empty trace")
+    per: dict[int, set[int]] = {}
+    for ev in events:
+        if ev.kind not in ("w", "r"):
+            raise ValueError(f"event {(ev.thread, ev.index)}: kind must be w or r, got {ev.kind!r}")
+        idxs = per.setdefault(ev.thread, set())
+        if ev.index in idxs:
+            raise ValueError(f"duplicate event slot {(ev.thread, ev.index)}")
+        idxs.add(ev.index)
+    if set(per) != set(range(len(per))):
+        got = f"got {len(per)} threads with ids {min(per)}..{max(per)}"
+        raise ValueError(f"thread ids must run 0..T-1 with every thread present; {got}")
+    for t, idxs in per.items():
+        if idxs != set(range(len(idxs))):
+            raise ValueError(f"thread {t}: event indices must be 0..n-1 with no gaps")
+    for t1, j1, t2, j2 in orders:
+        if j1 not in per.get(t1, ()) or j2 not in per.get(t2, ()):
+            raise ValueError(f"ordering {(t1, j1, t2, j2)} names a missing event")
+    return [len(per[t]) for t in range(len(per))]
 
 
 @dataclass
@@ -87,8 +123,7 @@ def check(events: list[TraceEvent], orders=()) -> CheckResult:
     orderings fail `validate_trace`, or if the up-front orderings already
     contradict program order or each other."""
     lengths = validate_trace(events, orders)
-    k = len(lengths)
-    po = DynamicPartialOrder(k, lengths)
+    po = DynamicPartialOrder(len(lengths), lengths)
 
     pre = _Candidate(po)
     for t1, j1, t2, j2 in orders:
@@ -111,11 +146,10 @@ def check(events: list[TraceEvent], orders=()) -> CheckResult:
             return None
         # w's successor row and r's predecessor row, read once: o is after w
         # iff succ[o.chain] <= o.index, and before r iff o.index <= pred[o.chain].
-        # Both stay exact while the loop inserts, because the tests here keep
-        # the order acyclic. r -> o goes in only where w reaches o and o does
-        # not reach r, so all it adds to w's successors o already had; o -> w
-        # only where o reaches r, so all it adds to r's predecessors already
-        # reached r.
+        # Both stay exact while the loop inserts, as the order stays acyclic:
+        # r -> o goes in only where w reaches o and o does not reach r, so w
+        # gains no new successor; o -> w only where o reaches r, so r gains no
+        # new predecessor.
         succ = po.successors(nw)
         pred = po.predecessors(nr)
         for o in writes_by_var[events[r].var]:
@@ -158,7 +192,7 @@ def check(events: list[TraceEvent], orders=()) -> CheckResult:
                         break
                 if len(cands) > i:
                     continue
-            elif _realizable(events, predecessor_masks(po, node), reads, binding):
+            elif _realizable(po, events, node, reads, binding):
                 return True
             # Nothing left to try at depth i: undo the binding of reads[i - 1].
             tried.pop()
@@ -166,76 +200,41 @@ def check(events: list[TraceEvent], orders=()) -> CheckResult:
                 return False
             cands.pop().rollback()
 
-    if assign():
-        pairs = [(node[r], node[binding[i]]) for i, r in enumerate(reads)]
-        return CheckResult(True, pairs)
-    return CheckResult(False, [])
+    if not assign():
+        return CheckResult(False, [])
+    return CheckResult(True, [(node[r], node[binding[i]]) for i, r in enumerate(reads)])
 
 
-def predecessor_masks(po: PartialOrderBase, nodes: list[NodeId]) -> list[int]:
-    """masks[b] has bit a set iff a != b and nodes[a] reaches nodes[b].
-
-    nodes must list every event of po exactly once. Chain t's events that
-    reach a node form a prefix of t, so each node costs one `predecessors`
-    row, each entry ORed in as a prefix bitmask.
-    """
-    prefix = [[0] * n for n in po.lengths]  # prefix[t][j]: bits of (t, 0..j)
-    for e, (t, j) in enumerate(nodes):
-        prefix[t][j] = 1 << e
-    for row in prefix:
-        for j in range(1, len(row)):
-            row[j] |= row[j - 1]
-    masks = []
-    for e, u in enumerate(nodes):
-        m = 0
-        for c, p in enumerate(po.predecessors(u)):
-            if p is not None:
-                m |= prefix[c][p]
-        masks.append(m & ~(1 << e))
-    return masks
-
-
-def _realizable(events, pred_mask, reads, binding) -> bool:
-    """One concrete interleaving exists: schedule events respecting the
-    saturated order (pred_mask from `predecessor_masks`), each read firing
-    only while its bound write is the variable's latest."""
-    n = len(events)
-    vars_ = sorted({ev.var for ev in events})
-    vat = {v: i for i, v in enumerate(vars_)}
-    var_of = [vat[ev.var] for ev in events]
-    is_read = [ev.kind == "r" for ev in events]
-    bound = [-1] * n
+def _realizable(po: PartialOrderBase, events, node, reads, binding) -> bool:
+    """One concrete interleaving exists: search the cuts from which each
+    thread's next event may fire, as the module docstring sets out."""
+    pairs: dict[str, list[tuple[NodeId, NodeId]]] = {}  # (bound write, read) per var
     for i, r in enumerate(reads):
-        bound[r] = binding[i]
-    full = (1 << n) - 1
-    # Depth-first over (scheduled-set, last write per variable) states, with
-    # an explicit stack; each frame is [mask, lastw, next event to try].
-    start = (0, tuple([-1] * len(vars_)))
-    seen = {start}
-    stack = [[*start, 0]]
+        pairs.setdefault(events[r].var, []).append((node[binding[i]], node[r]))
+    # at[u]: how many events of each other chain u needs fired, and a write's pairs
+    at = {}
+    for u, ev in zip(node, events):
+        need = [0 if p is None else p + 1 for p in po.predecessors(u)]
+        need[u.chain] = 0
+        at[u] = (need, pairs.get(ev.var, []) if ev.kind == "w" else [])
+    full = tuple(po.lengths)
+    seen = set()  # no move leads back to the empty cut
+    stack = [((0,) * len(full), 0)]  # depth first: (cut, first thread not yet tried)
     while stack:
-        frame = stack[-1]
-        mask, lastw = frame[0], frame[1]
-        if mask == full:
+        cut, first = stack.pop()
+        if cut == full:
             return True
-        for e in range(frame[2], n):
-            bit = 1 << e
-            if mask & bit or pred_mask[e] & ~mask:
+        for t, j in enumerate(cut[first:], first):
+            if j == full[t]:
                 continue
-            j = var_of[e]
-            if is_read[e]:
-                if lastw[j] != bound[e]:
-                    continue
-                nxt = lastw
-            else:
-                nxt = lastw[:j] + (e,) + lastw[j + 1 :]
-            state = (mask | bit, nxt)
-            if state in seen:
+            need, waits = at[t, j]
+            if not all(map(le, need, cut)) or waits and any(
+                cut[w.chain] > w.index and cut[r.chain] <= r.index for w, r in waits
+            ):
                 continue
-            seen.add(state)
-            frame[2] = e + 1
-            stack.append([*state, 0])
-            break
-        else:
-            stack.pop()
+            nxt = cut[:t] + (j + 1,) + cut[t + 1 :]
+            if nxt not in seen:
+                seen.add(nxt)
+                stack += [(cut, t + 1), (nxt, 0)]
+                break
     return False

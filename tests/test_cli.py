@@ -6,6 +6,7 @@ import pytest
 
 from csst import harness
 from csst.cli import main
+from csst.core import PoError, PoErrorKind, cycle_detected
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -228,3 +229,46 @@ def test_out_of_range_counts_are_rejected_by_name(argv, option, capsys):
 def test_fuzz_zero_runs_is_clean(capsys):
     assert main(["fuzz", "--seed", "1", "--runs", "0"]) == 0
     assert capsys.readouterr().out == "ok: 0 runs, no disagreements\n"
+
+
+class _Planted(harness.BACKENDS["csst-inc"]):
+    # Refuses, as a cycle, every edge from a higher chain to a later index.
+    def _insert_edge(self, u, v):
+        if u.chain > v.chain and u.index < v.index:
+            raise cycle_detected(u, v)
+        super()._insert_edge(u, v)
+
+
+def test_fuzz_backend_raising_where_the_oracle_answers_exits_two(monkeypatch, capsys):
+    monkeypatch.setitem(harness.BACKENDS, "csst-inc", _Planted)
+    rc = main(["fuzz", "--seed", "9", "--runs", "50", "--backends", "csst-inc",
+               "--max-updates", "25", "--max-queries", "60"])
+    assert rc == 2
+    out = capsys.readouterr().out
+    assert "backend csst-inc raised CycleDetected" in out
+    records = harness.parse_oplog(out.split("reproducer op-log:\n", 1)[1])
+    assert [r.op for r in records] == ["init", "ins"]
+    harness.replay(records, "oracle")
+    with pytest.raises(PoError) as err:
+        harness.replay(records, "csst-inc")
+    assert err.value.kind is PoErrorKind.CYCLE_DETECTED
+
+
+def test_fuzz_refuses_deletes_on_an_insert_only_backend(capsys):
+    rc = main(["fuzz", "--seed", "1", "--runs", "3", "--backends", "csst-dyn,csst-inc",
+               "--deletes", "0.5"])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: backend csst-inc is insert-only; it cannot be fuzzed with deletes\n"
+
+
+def test_replay_out_of_memory_is_an_input_error(tmp_path, capsys):
+    # st's dense arrays ask for 10**18 slots; the allocation fails up front.
+    p = tmp_path / "big.ops"
+    p.write_text("init 2 5 5\ngrow 0 1000000000000000000\n")
+    assert main(["replay", str(p), "--backend", "st"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: out of memory")
+    assert "Traceback" not in err

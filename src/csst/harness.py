@@ -184,13 +184,19 @@ def parse_trace(text: str) -> tuple[list[TraceEvent], list[tuple[int, int, int, 
         if parts[0] == "e":
             if len(parts) != 6:
                 raise ValueError(f"line {lineno}: want `e <thread> <index> <w|r> <var> <value>`")
-            events.append(TraceEvent(int(parts[1]), int(parts[2]), parts[3], parts[4], int(parts[5])))
         elif parts[0] == "o":
             if len(parts) != 5:
                 raise ValueError(f"line {lineno}: want `o <t1> <j1> <t2> <j2>`")
-            orders.append((int(parts[1]), int(parts[2]), int(parts[3]), int(parts[4])))
         else:
             raise ValueError(f"line {lineno}: unknown record {parts[0]!r}")
+        try:
+            if parts[0] == "e":
+                ev = TraceEvent(int(parts[1]), int(parts[2]), parts[3], parts[4], int(parts[5]))
+                events.append(ev)
+            else:
+                orders.append((int(parts[1]), int(parts[2]), int(parts[3]), int(parts[4])))
+        except ValueError:
+            raise ValueError(f"line {lineno}: non-integer field in {raw!r}")
     validate_trace(events, orders)
     return events, orders
 

@@ -28,11 +28,18 @@ is dead: all edges inserted for it are rolled back (exact deletes restore
 the prior direct edges) and the next candidate is tried, backtracking
 across reads. A full binding is accepted once a search finds one concrete
 interleaving, so the verdict matches exhaustive enumeration. An event fires
-after every event on its `predecessors` row; a write to x also waits while
-some read of x is unfired and its bound write fired. Whether an event may
-fire then depends only on the fired set, a cut (one count per thread): the
-search visits at most prod(n_t + 1) cuts and reads n `predecessors` rows
-over n events (cf. Gibbons & Korach, "Testing Shared Memories", 1997).
+after its program-order predecessor and after the source of every edge
+into it; a write to x also waits while some read of x is unfired and its
+bound write fired. Whether an event may fire then depends only on the
+fired set, a cut (one count per thread): the search visits at most
+prod(n_t + 1) cuts (cf. Gibbons & Korach, "Testing Shared Memories", 1997).
+
+The search asks the order nothing. Every insert goes through a
+`_Candidate` and a rollback deletes exactly what its candidate inserted,
+so the edges of the up-front orderings and of the live candidates are the
+order's cross-chain edges. Each cut the search reaches is downward closed
+under program order and those edges, so on it "every direct predecessor
+fired" holds exactly when "the whole `predecessors` row fired" does.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import le
 
-from .core import NodeId, PartialOrderBase
+from .core import NodeId
 from .dynamic import DynamicPartialOrder
 
 
@@ -152,6 +159,9 @@ def check(events: list[TraceEvent], orders=()) -> CheckResult:
         # new predecessor.
         succ = po.successors(nw)
         pred = po.predecessors(nr)
+        # r is ordered before chain c from index forced[c] on, by program
+        # order, so a later write there needs no `order` call of its own.
+        forced = list(lengths)
         for o in writes_by_var[events[r].var]:
             if o == w:
                 continue
@@ -162,7 +172,9 @@ def check(events: list[TraceEvent], orders=()) -> CheckResult:
                 if before_r:  # r -> o would close a cycle through w -> r
                     cand.rollback()
                     return None
-                cand.order(nr, no)
+                if no.index < forced[no.chain]:
+                    cand.order(nr, no)
+                    forced[no.chain] = no.index
             elif before_r:
                 cand.order(no, nw)
         return cand
@@ -192,8 +204,11 @@ def check(events: list[TraceEvent], orders=()) -> CheckResult:
                         break
                 if len(cands) > i:
                     continue
-            elif _realizable(po, events, node, reads, binding):
-                return True
+            else:
+                # The live edges: the up-front orderings' and each binding's.
+                edges = [e for c in (pre, *cands) for e in c.inserted]
+                if _realizable(lengths, edges, events, node, reads, binding):
+                    return True
             # Nothing left to try at depth i: undo the binding of reads[i - 1].
             tried.pop()
             if not cands:
@@ -205,19 +220,24 @@ def check(events: list[TraceEvent], orders=()) -> CheckResult:
     return CheckResult(True, [(node[r], node[binding[i]]) for i, r in enumerate(reads)])
 
 
-def _realizable(po: PartialOrderBase, events, node, reads, binding) -> bool:
+def _realizable(lengths, edges, events, node, reads, binding) -> bool:
     """One concrete interleaving exists: search the cuts from which each
-    thread's next event may fire, as the module docstring sets out."""
+    thread's next event may fire, given the order's cross-chain `edges`,
+    as the module docstring sets out."""
     pairs: dict[str, list[tuple[NodeId, NodeId]]] = {}  # (bound write, read) per var
     for i, r in enumerate(reads):
         pairs.setdefault(events[r].var, []).append((node[binding[i]], node[r]))
-    # at[u]: how many events of each other chain u needs fired, and a write's pairs
-    at = {}
+    # needs[v]: how many events of each chain v needs fired; absent where
+    # no edge enters v
+    needs: dict[NodeId, list[int]] = {}
+    for u, v in edges:
+        need = needs.setdefault(v, [0] * len(lengths))
+        if need[u.chain] <= u.index:
+            need[u.chain] = u.index + 1
+    at = {}  # at[u]: u's needs, and a write's pairs
     for u, ev in zip(node, events):
-        need = [0 if p is None else p + 1 for p in po.predecessors(u)]
-        need[u.chain] = 0
-        at[u] = (need, pairs.get(ev.var, []) if ev.kind == "w" else [])
-    full = tuple(po.lengths)
+        at[u] = (needs.get(u, ()), pairs.get(ev.var, []) if ev.kind == "w" else [])
+    full = tuple(lengths)
     seen = set()  # no move leads back to the empty cut
     stack = [((0,) * len(full), 0)]  # depth first: (cut, first thread not yet tried)
     while stack:

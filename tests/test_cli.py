@@ -166,6 +166,21 @@ def test_satcheck_malformed_trace(tmp_path, capsys):
     assert main(["satcheck", str(p)]) == 1
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("e 0 0 w x 1.5\n", "line 1: non-integer field in 'e 0 0 w x 1.5'"),
+        ("e 0 0 w x 1\ne 1 0 r x 1\no 0 0 1 z\n", "line 3: non-integer field in 'o 0 0 1 z'"),
+    ],
+)
+def test_satcheck_names_the_line_of_a_non_integer_field(tmp_path, capsys, text, line):
+    p = tmp_path / "t.trace"
+    p.write_text(text)
+    assert main(["satcheck", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {line}\n"
+
+
 def test_satcheck_rejects_an_unknown_event_kind(tmp_path, capsys):
     p = tmp_path / "t.trace"
     p.write_text("e 0 0 w x 1\ne 0 1 q x 2\ne 1 0 r x 1\no 0 1 1 0\n")

@@ -12,6 +12,7 @@ import pytest
 from csst.core import NodeId
 from csst.dynamic import DynamicPartialOrder
 from csst.harness import parse_trace
+from csst.oracle import BruteForcePartialOrder
 from csst.satcheck import TraceEvent, check
 
 from helpers import interleaving_consistent, interleaving_with_binding
@@ -311,41 +312,116 @@ def test_matches_exhaustive_interleaving_on_random_traces():
     assert 30 < consistent < 270
 
 
+def _candidates(events):
+    """The positions of the reads, and for each read the positions of its
+    same-value writes, both in trace order."""
+    reads = [i for i, ev in enumerate(events) if ev.kind == "r"]
+    cands = [
+        [
+            w
+            for w, ev in enumerate(events)
+            if ev.kind == "w" and ev.var == events[r].var and ev.value == events[r].value
+        ]
+        for r in reads
+    ]
+    return reads, cands
+
+
+def _first_witnessed(events, orders):
+    """Reads bind in trace order, each to its same-value writes in trace
+    order, so check() answers with the first vector in that lexicographic
+    order that some interleaving witnesses: that vector as (read, write)
+    node pairs, or None when no vector is witnessed."""
+    reads, cands = _candidates(events)
+    for vec in itertools.product(*cands):
+        if interleaving_with_binding(events, orders, dict(zip(reads, vec))):
+            return [(_node(events[r]), _node(events[w])) for r, w in zip(reads, vec)]
+    return None
+
+
 def test_bindings_are_the_first_witnessed_candidate_vector():
-    # Reads bind in trace order, each to its same-value writes in trace
-    # order, so the answer is the first vector in that lexicographic order
-    # that some interleaving witnesses, or none.
     rng = random.Random(909)
     consistent = multi = 0
     for _ in range(300):
         events, orders = random_trace(rng)
-        reads = [i for i, ev in enumerate(events) if ev.kind == "r"]
-        cands = [
-            [
-                w
-                for w, ev in enumerate(events)
-                if ev.kind == "w" and ev.var == events[r].var and ev.value == events[r].value
-            ]
-            for r in reads
-        ]
-        first = next(
-            (
-                vec
-                for vec in itertools.product(*cands)
-                if interleaving_with_binding(events, orders, dict(zip(reads, vec)))
-            ),
-            None,
-        )
+        first = _first_witnessed(events, orders)
         res = check(events, orders)
         assert res.consistent == (first is not None), (events, orders)
         if first is not None:
-            want = [(_node(events[r]), _node(events[w])) for r, w in zip(reads, first)]
-            assert res.bindings == want, (events, orders)
+            assert res.bindings == first, (events, orders)
         consistent += res.consistent
-        multi += res.consistent and any(len(c) > 1 for c in cands)
+        multi += res.consistent and any(len(c) > 1 for c in _candidates(events)[1])
     # both verdicts occur, and some answers had a choice to make
     assert 30 < consistent < 270
     assert multi > 20
+
+
+def reused_value_trace(rng, max_events=12):
+    """A short trace whose reads mostly have several candidate writes. 3-4
+    threads take steps in a random order; a step writes 0 or 1 (always when
+    its variable has no write yet, else with probability 0.4) or reads the
+    variable's latest value, or the other value one time in four. Up to 5
+    orderings each pin two reads on different threads in the order they
+    ran. The events are listed shuffled, so reads bind out of program order
+    and saturation accepts bindings that only the interleaving search
+    refuses."""
+    k = rng.randint(3, 4)
+    n = rng.randint(k + 4, max_events)
+    variables = "xy"[: rng.randint(1, 2)]
+    latest: dict[str, int] = {}
+    counts = [0] * k
+    events = []
+    for i in range(n):
+        t = i if i < k else rng.randrange(k)
+        var = rng.choice(variables)
+        if var not in latest or rng.random() < 0.4:
+            kind = "w"
+            latest[var] = val = rng.randint(0, 1)
+        else:
+            kind = "r"
+            val = latest[var] if rng.random() < 0.75 else 1 - latest[var]
+        events.append(TraceEvent(t, counts[t], kind, var, val))
+        counts[t] += 1
+    reads = [ev for ev in events if ev.kind == "r"]
+    orders = []
+    for _ in range(rng.randint(3, 5) if len(reads) > 1 else 0):
+        a, b = sorted(rng.sample(range(len(reads)), 2))
+        a, b = reads[a], reads[b]
+        if a.thread != b.thread:
+            orders.append((a.thread, a.index, b.thread, b.index))
+    rng.shuffle(events)
+    return events, orders
+
+
+def test_reused_value_traces_need_the_interleaving_search(monkeypatch):
+    # On these traces saturation accepts full bindings that no interleaving
+    # realizes, so verdicts and bindings match the exhaustive answers only
+    # if the search refuses exactly those: it must read every live edge,
+    # count an edge's source as fired, and hold a write back while a read
+    # of its variable still wants the value it would overwrite.
+    import csst.satcheck as satcheck
+
+    search = satcheck._realizable
+    refused = 0
+
+    def spy(*args):
+        nonlocal refused
+        found = search(*args)
+        refused += not found
+        return found
+
+    monkeypatch.setattr(satcheck, "_realizable", spy)
+    rng = random.Random(1414)
+    consistent = 0
+    for _ in range(300):
+        events, orders = reused_value_trace(rng)
+        res = check(events, orders)
+        assert res.consistent == interleaving_consistent(events, orders), (events, orders)
+        if res.consistent:
+            assert res.bindings == _first_witnessed(events, orders), (events, orders)
+        consistent += res.consistent
+    assert 30 < consistent < 270
+    assert refused > 20
 
 
 def _node(ev):
@@ -377,30 +453,51 @@ def test_check_rejects_invalid_input_before_building_the_order(events, orders):
 def test_the_last_binding_is_saturated_when_the_search_starts(monkeypatch):
     # After reads[-1] binds to w, every other write o of its variable is
     # ordered against it: w reaches r, w reaching o puts r before o, and o
-    # reaching r puts o before w. The order handed to the interleaving
-    # search holds all of it, so the test reads reachability there.
+    # reaching r puts o before w. The edges handed to the interleaving
+    # search are the live edges of the order check() built, and they hold
+    # all of it: the test reads reachability on an oracle built from them.
     import csst.satcheck as satcheck
+
+    built = []
+
+    class Recording(DynamicPartialOrder):
+        def __init__(self, k, lengths):
+            super().__init__(k, lengths)
+            self.live = set()
+            built.append(self)
+
+        def insert_edge(self, u, v):
+            super().insert_edge(u, v)
+            self.live.add((u, v))
+
+        def delete_edge(self, u, v):
+            super().delete_edge(u, v)
+            self.live.remove((u, v))
 
     search = satcheck._realizable
     checked = 0
 
-    def spy(po, events, node, reads, binding):
+    def spy(lengths, edges, events, node, reads, binding):
         nonlocal checked
-        if not reads:
-            return search(po, events, node, reads, binding)
-        r, w = reads[-1], binding[-1]
+        assert sorted(edges) == sorted(built[-1].live)
+        if reads:
+            po = BruteForcePartialOrder(len(lengths), lengths)
+            for u, v in edges:
+                po.insert_edge(u, v)
+            r, w = reads[-1], binding[-1]
 
-        def reaches(a, b):
-            return po.reachable(node[a], node[b])
+            def reaches(a, b):
+                return po.reachable(node[a], node[b])
 
-        assert reaches(w, r)
-        for o, ev in enumerate(events):
-            if ev.kind == "w" and ev.var == events[r].var and o != w:
-                assert not reaches(w, o) or reaches(r, o)
-                assert not reaches(o, r) or reaches(o, w)
-                checked += 1
-        return search(po, events, node, reads, binding)
+            assert reaches(w, r)
+            for o, ev in enumerate(events):
+                if ev.kind == "w" and ev.var == events[r].var and o != w:
+                    assert not reaches(w, o) or reaches(r, o)
+                    assert not reaches(o, r) or reaches(o, w)
+                    checked += 1
+        return search(lengths, edges, events, node, reads, binding)
 
+    monkeypatch.setattr(satcheck, "DynamicPartialOrder", Recording)
     monkeypatch.setattr(satcheck, "_realizable", spy)
     rng = random.Random(303)
     for _ in range(300):

@@ -8,47 +8,72 @@ respects program order, the orderings, and write atomicity (a read sees
 the latest write).
 
 Method: reads are bound to candidate writes in trace order. Binding w to r
-inserts w -> r, then forces, for every other write w' to the same variable:
+inserts w -> r, then forces, for every other write o to the same variable:
 
-    w  reaches w'  =>  r comes before w'   (insert r -> w')
-    w' reaches r   =>  w' comes before w   (insert w' -> w)
+    w reaches o  =>  r comes before o   (insert r -> o)
+    o reaches r  =>  o comes before w   (insert o -> w)
 
-Both tests read two rows per candidate: after w -> r, w's `successors` row
-and r's `predecessors` row answer them for every w'. The checker decides
-every cycle itself, and the order never has one:
+A candidate reads four rows, all before it inserts anything: the
+`successors` and `predecessors` of w and of r. They decide every edge:
 
-- w -> r, and each up-front ordering u -> v, closes a cycle exactly when v
-  reaches u, which one `reachable` tests before the insert.
-- r -> w' is forced only where w reaches w', so it closes a cycle exactly
-  when w' also reaches r, which r's row already says.
-- w' -> w is forced only where w does not reach w', so it closes none.
+- w -> r closes a cycle exactly when r reaches w, and is implied already
+  when w reaches r.
+- After w -> r, a write that r already reaches is after r, and one that
+  already reaches w is before w, so only the writes w reaches and those
+  that reach r can need an edge. As the order stays acyclic, the rows
+  read before the insert find them exactly.
+- The writes to each variable are kept sorted by index per thread. On each
+  thread one bisect finds the earliest write o that w reaches: if o also
+  reaches r, r -> o closes a cycle and the candidate is dead before any
+  insert; otherwise r -> o is the one edge that thread needs, as its later
+  writes follow by program order. A second bisect finds the latest write
+  that reaches r, which w then does not reach, and gives the one o -> w.
+- r's successor row drops every r -> o that is implied already, and w's
+  predecessor row every o -> w. Neither row changes under the other kind
+  of insert (that would take a cycle), but an insert can imply a later
+  edge of its own kind, so only the second and later surviving edges of a
+  kind take a `reachable`. A candidate makes at most 4 row queries and
+  2(k - 2) `reachable` calls, however long the trace.
 
-A candidate whose edges would close a cycle, or contradict program order,
-is dead: all edges inserted for it are rolled back (exact deletes restore
-the prior direct edges) and the next candidate is tried, backtracking
-across reads. A full binding is accepted once a search finds one concrete
-interleaving, so the verdict matches exhaustive enumeration. An event fires
-after its program-order predecessor and after the source of every edge
-into it; a write to x also waits while some read of x is unfired and its
-bound write fired. Whether an event may fire then depends only on the
-fired set, a cut (one count per thread): the search visits at most
+Each up-front ordering u -> v is refused when v already reaches u, so the
+order never has a cycle. Every insert goes
+through a `_Candidate`, and a rollback deletes exactly what its candidate
+inserted (exact deletes restore the prior direct edges); the next
+candidate is then tried, backtracking across reads.
+
+A full binding is accepted once a search finds one concrete interleaving,
+so the verdict matches exhaustive enumeration. An event fires after its
+program-order predecessor and after the source of every edge into it; a
+write to x also waits while some read of x is unfired and its bound write
+fired. The search carries that count of pending reads per variable (a
+write adds the reads bound to it, a read takes itself off), so the wait
+is one lookup. Whether an event may fire then depends only on the fired
+set, a cut (one count per thread): the search visits at most
 prod(n_t + 1) cuts (cf. Gibbons & Korach, "Testing Shared Memories", 1997).
 
-The search asks the order nothing. Every insert goes through a
-`_Candidate` and a rollback deletes exactly what its candidate inserted,
-so the edges of the up-front orderings and of the live candidates are the
-order's cross-chain edges. Each cut the search reaches is downward closed
-under program order and those edges, so on it "every direct predecessor
-fired" holds exactly when "the whole `predecessors` row fired" does.
+The search asks the order nothing. The edges of the up-front orderings and
+of the live candidates are the order's cross-chain edges, so on each cut
+the search reaches, which is downward closed under program order and
+those edges, "every direct predecessor fired" holds exactly when "the
+whole `predecessors` row fired" does.
+
+Once a full search has failed, each later candidate is first tested by
+the same search over the reads bound so far: an unbound read adds no
+edge, no wait and no count, so a failure there rules out every completion
+and the candidate is dropped. A pruned binding is never realizable, so
+the first witnessed binding is unchanged, and a check whose first search
+succeeds never pays for the test.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import le
 
 from .core import NodeId
 from .dynamic import DynamicPartialOrder
+from .sst import INF
 
 
 @dataclass(frozen=True)
@@ -100,12 +125,14 @@ class _Candidate:
         self.po = po
         self.inserted: list[tuple[NodeId, NodeId]] = []
 
-    def order(self, u: NodeId, v: NodeId) -> None:
-        """Require u before v, which the caller knows closes no cycle (on
-        one thread, u is already the earlier event)."""
-        if u.chain != v.chain and not self.po.reachable(u, v):
-            self.po.insert_edge(u, v)
-            self.inserted.append((u, v))
+    def force(self, edges: list[tuple[NodeId, NodeId]]) -> None:
+        """Insert each edge, none of which closes a cycle. The first is not
+        yet implied; an insert may imply a later one, so each later one is
+        tested first."""
+        for n, (u, v) in enumerate(edges):
+            if n == 0 or not self.po.reachable(u, v):
+                self.po.insert_edge(u, v)
+                self.inserted.append((u, v))
 
     def order_checked(self, u: NodeId, v: NodeId) -> bool:
         """Require u before v; returns False when v already reaches u."""
@@ -115,14 +142,43 @@ class _Candidate:
             return True
         if self.po.reachable(v, u):
             return False
-        self.po.insert_edge(u, v)
-        self.inserted.append((u, v))
+        self.force([(u, v)])
         return True
 
     def rollback(self) -> None:
         for u, v in reversed(self.inserted):
             self.po.delete_edge(u, v)
         self.inserted.clear()
+
+
+def _bind(po: DynamicPartialOrder, nw: NodeId, nr: NodeId, writes) -> _Candidate | None:
+    """The candidate binding read nr to write nw, or None when it is dead.
+    `writes[c]`: the sorted indices of chain c's writes to their variable."""
+    succ_w = [INF if s is None else s for s in po.successors(nw)]
+    pred_w = [-1 if p is None else p for p in po.predecessors(nw)]
+    succ_r = [INF if s is None else s for s in po.successors(nr)]
+    pred_r = [-1 if p is None else p for p in po.predecessors(nr)]
+    if succ_r[nw.chain] <= nw.index:  # r reaches w
+        return None
+    later, earlier = [], []  # the forced r -> o and o -> w
+    for c, ix in enumerate(writes):
+        # the earliest write w reaches, w itself excluded
+        a = bisect_left(ix, succ_w[c] + (c == nw.chain))
+        if a < len(ix):
+            if ix[a] <= pred_r[c]:  # it reaches r: r -> o would close a cycle
+                return None
+            if ix[a] < succ_r[c]:
+                later.append((nr, NodeId(c, ix[a])))
+        # the latest write that reaches r, which w does not reach
+        b = bisect_right(ix, pred_r[c])
+        if b and c != nw.chain and ix[b - 1] > pred_w[c]:
+            earlier.append((NodeId(c, ix[b - 1]), nw))
+    cand = _Candidate(po)
+    if succ_w[nr.chain] > nr.index:
+        cand.force([(nw, nr)])
+    cand.force(later)
+    cand.force(earlier)
+    return cand
 
 
 def check(events: list[TraceEvent], orders=()) -> CheckResult:
@@ -139,45 +195,17 @@ def check(events: list[TraceEvent], orders=()) -> CheckResult:
 
     # Per-event data is indexed by position in `events`.
     node = [NodeId(ev.thread, ev.index) for ev in events]
-    writes_by_var: dict[str, list[int]] = {}
+    writes_on: dict[str, list[list[int]]] = {}  # per variable, per chain, sorted
+    same_value: dict[tuple[str, int], list[int]] = {}  # positions, in trace order
     for e, ev in enumerate(events):
         if ev.kind == "w":
-            writes_by_var.setdefault(ev.var, []).append(e)
+            writes_on.setdefault(ev.var, [[] for _ in lengths])[ev.thread].append(ev.index)
+            same_value.setdefault((ev.var, ev.value), []).append(e)
+    for chains in writes_on.values():
+        for ix in chains:
+            ix.sort()
     reads = [e for e, ev in enumerate(events) if ev.kind == "r"]
     binding = [-1] * len(reads)  # binding[i]: position of the write reads[i] observes
-
-    def try_bind(r: int, w: int) -> _Candidate | None:
-        nw, nr = node[w], node[r]
-        cand = _Candidate(po)
-        if not cand.order_checked(nw, nr):
-            return None
-        # w's successor row and r's predecessor row, read once: o is after w
-        # iff succ[o.chain] <= o.index, and before r iff o.index <= pred[o.chain].
-        # Both stay exact while the loop inserts, as the order stays acyclic:
-        # r -> o goes in only where w reaches o and o does not reach r, so w
-        # gains no new successor; o -> w only where o reaches r, so r gains no
-        # new predecessor.
-        succ = po.successors(nw)
-        pred = po.predecessors(nr)
-        # r is ordered before chain c from index forced[c] on, by program
-        # order, so a later write there needs no `order` call of its own.
-        forced = list(lengths)
-        for o in writes_by_var[events[r].var]:
-            if o == w:
-                continue
-            no = node[o]
-            s, p = succ[no.chain], pred[no.chain]
-            before_r = p is not None and no.index <= p
-            if s is not None and s <= no.index:
-                if before_r:  # r -> o would close a cycle through w -> r
-                    cand.rollback()
-                    return None
-                if no.index < forced[no.chain]:
-                    cand.order(nr, no)
-                    forced[no.chain] = no.index
-            elif before_r:
-                cand.order(no, nw)
-        return cand
 
     def assign() -> bool:
         """Bind reads in trace order, depth first, each to its same-value
@@ -185,30 +213,38 @@ def check(events: list[TraceEvent], orders=()) -> CheckResult:
         explicit stack keeps long traces off the recursion limit."""
         cands: list[_Candidate] = []  # cands[i] holds the edges binding reads[i]
         tried = [0]  # tried[i]: how many of reads[i]'s writes were tried
+        pruning = False  # set once a full search has failed: then test prefixes
+
+        def realizable(n: int) -> bool:
+            # The live edges: the up-front orderings' and each binding's.
+            edges = [e for c in (pre, *cands) for e in c.inserted]
+            return _realizable(lengths, edges, events, node, reads[:n], binding[:n])
+
         while True:
             i = len(cands)
             if i < len(reads):
                 r = reads[i]
                 ev = events[r]
-                ws = writes_by_var.get(ev.var, ())
+                ws = same_value.get((ev.var, ev.value), ())
                 while tried[i] < len(ws):
                     w = ws[tried[i]]
                     tried[i] += 1
-                    if events[w].value != ev.value:
+                    cand = _bind(po, node[w], node[r], writes_on[ev.var])
+                    if cand is None:
                         continue
-                    cand = try_bind(r, w)
-                    if cand is not None:
-                        binding[i] = w
-                        cands.append(cand)
-                        tried.append(0)
-                        break
+                    binding[i] = w
+                    cands.append(cand)
+                    if pruning and i + 1 < len(reads) and not realizable(i + 1):
+                        cands.pop().rollback()
+                        continue
+                    tried.append(0)
+                    break
                 if len(cands) > i:
                     continue
+            elif realizable(len(reads)):
+                return True
             else:
-                # The live edges: the up-front orderings' and each binding's.
-                edges = [e for c in (pre, *cands) for e in c.inserted]
-                if _realizable(lengths, edges, events, node, reads, binding):
-                    return True
+                pruning = True
             # Nothing left to try at depth i: undo the binding of reads[i - 1].
             tried.pop()
             if not cands:
@@ -221,12 +257,11 @@ def check(events: list[TraceEvent], orders=()) -> CheckResult:
 
 
 def _realizable(lengths, edges, events, node, reads, binding) -> bool:
-    """One concrete interleaving exists: search the cuts from which each
-    thread's next event may fire, given the order's cross-chain `edges`,
-    as the module docstring sets out."""
-    pairs: dict[str, list[tuple[NodeId, NodeId]]] = {}  # (bound write, read) per var
-    for i, r in enumerate(reads):
-        pairs.setdefault(events[r].var, []).append((node[binding[i]], node[r]))
+    """One concrete interleaving exists in which each of `reads` observes
+    its write in `binding`: search the cuts from which each thread's next
+    event may fire, given the order's cross-chain `edges`, as the module
+    docstring sets out. A read missing from `reads` is unbound: it moves no
+    count."""
     # needs[v]: how many events of each chain v needs fired; absent where
     # no edge enters v
     needs: dict[NodeId, list[int]] = {}
@@ -234,27 +269,33 @@ def _realizable(lengths, edges, events, node, reads, binding) -> bool:
         need = needs.setdefault(v, [0] * len(lengths))
         if need[u.chain] <= u.index:
             need[u.chain] = u.index + 1
-    at = {}  # at[u]: u's needs, and a write's pairs
-    for u, ev in zip(node, events):
-        at[u] = (needs.get(u, ()), pairs.get(ev.var, []) if ev.kind == "w" else [])
+    # step[e]: how firing event e moves its variable's pending-read count
+    step = [0] * len(events)
+    for r, w in zip(reads, binding):
+        step[w] += 1
+        step[r] = -1
+    var_id: dict[str, int] = {}
+    at = {}  # at[u]: u's needs, its variable, whether it waits, its step
+    for u, ev, d in zip(node, events, step):
+        at[u] = (needs.get(u, ()), var_id.setdefault(ev.var, len(var_id)), ev.kind == "w", d)
     full = tuple(lengths)
     seen = set()  # no move leads back to the empty cut
-    stack = [((0,) * len(full), 0)]  # depth first: (cut, first thread not yet tried)
+    # depth first: (cut, first thread not yet tried, pending reads per variable)
+    stack = [((0,) * len(full), 0, (0,) * len(var_id))]
     while stack:
-        cut, first = stack.pop()
+        cut, first, pending = stack.pop()
         if cut == full:
             return True
         for t, j in enumerate(cut[first:], first):
             if j == full[t]:
                 continue
-            need, waits = at[t, j]
-            if not all(map(le, need, cut)) or waits and any(
-                cut[w.chain] > w.index and cut[r.chain] <= r.index for w, r in waits
-            ):
+            need, x, waits, d = at[t, j]
+            if waits and pending[x] or not all(map(le, need, cut)):
                 continue
             nxt = cut[:t] + (j + 1,) + cut[t + 1 :]
             if nxt not in seen:
                 seen.add(nxt)
-                stack += [(cut, t + 1), (nxt, 0)]
+                moved = pending[:x] + (pending[x] + d,) + pending[x + 1 :] if d else pending
+                stack += [(cut, t + 1, pending), (nxt, 0, moved)]
                 break
     return False

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import pytest
 
@@ -151,7 +152,9 @@ def test_forced_ordering_into_a_cycle_kills_the_candidate(monkeypatch):
     # (0,1) and the pinned ordering. (0,0) reaches the other x write (0,1),
     # so (1,0) -> (0,1) would be forced; but (0,1) reaches the read, so that
     # edge closes a cycle. The candidate dies on its rows with no insert,
-    # and the read binds the next x=1 write, (2,0).
+    # and the read binds the next x=1 write, (2,0). Both x writes on thread
+    # 0 reach the read, and the latest, (0,1), is the only one ordered
+    # before (2,0): (0,0) follows through program order.
     inserted = _spy_inserts(monkeypatch)
     events = [
         _ev(0, 0, "w", "x", 1),
@@ -166,7 +169,6 @@ def test_forced_ordering_into_a_cycle_kills_the_candidate(monkeypatch):
     assert inserted == [
         ((0, 1), (1, 0)),  # the pinned ordering
         ((2, 0), (1, 0)),  # second candidate
-        ((0, 0), (2, 0)),  # forced: (0,0) reaches the read
         ((0, 1), (2, 0)),  # forced: (0,1) reaches the read
     ]
     assert interleaving_with_binding(events, orders, {2: 3})
@@ -191,21 +193,30 @@ def test_first_edge_closing_a_cycle_is_refused(monkeypatch):
     assert not interleaving_with_binding(events, orders, {1: 0})
 
 
-def test_reused_values_bind_after_hundreds_of_failed_searches(monkeypatch):
-    # Reused values give most reads several candidate writes, and most full
-    # bindings the saturation accepts have no interleaving: the search
-    # turns down hundreds of them before it witnesses this one.
+def test_reused_values_bind_after_failed_full_searches(monkeypatch):
+    # Reused values give most reads several candidate writes, and full
+    # bindings that saturation accepts can have no interleaving: the search
+    # turns down two of them before it witnesses this one. Once the first
+    # has failed, and not before, each new binding's reads so far are
+    # tested first, and a failed test drops every completion of it (the
+    # unpruned search failed 787 full bindings here).
     import csst.satcheck as satcheck
 
     search = satcheck._realizable
-    verdicts = []
+    full, prefix = [], []  # verdicts of full searches and of prefix tests
 
-    def spy(*args):
-        verdicts.append(search(*args))
-        return verdicts[-1]
+    def spy(lengths, edges, events, node, reads, binding):
+        found = search(lengths, edges, events, node, reads, binding)
+        if len(reads) < nreads:
+            assert False in full
+            prefix.append(found)
+        else:
+            full.append(found)
+        return found
 
     monkeypatch.setattr(satcheck, "_realizable", spy)
     events, orders = parse_trace((DATA / "reused_values.trace").read_text())
+    nreads = sum(ev.kind == "r" for ev in events)
     res = check(events, orders)
     assert res.consistent
     assert [(tuple(r), tuple(w)) for r, w in res.bindings] == [
@@ -217,18 +228,118 @@ def test_reused_values_bind_after_hundreds_of_failed_searches(monkeypatch):
         ((2, 7), (3, 3)), ((3, 8), (3, 3)), ((2, 8), (3, 3)), ((1, 7), (2, 6)),
         ((1, 8), (2, 6)), ((1, 9), (2, 6)),
     ]
-    assert verdicts[-1] and verdicts.count(False) > 500
+    assert full == [False, False, True]
+    assert len(prefix) == 20 and prefix.count(False) == 12
     pos = {_node(ev): e for e, ev in enumerate(events)}
     assert interleaving_with_binding(events, orders, {pos[r]: pos[w] for r, w in res.bindings})
 
 
-def _seed3_pool():
-    """The traces of the benchmark's satcheck workload at seed 3."""
+def test_reused_values_trace_5_gets_a_verdict_in_seconds():
+    # Without pruning, about 190,000 full bindings of this trace failed the
+    # interleaving search, close to a minute, before one was witnessed.
+    events, orders = parse_trace((DATA / "reused_values_5.trace").read_text())
+    t0 = time.perf_counter()
+    res = check(events, orders)
+    assert time.perf_counter() - t0 < 2
+    assert res.consistent
+    assert [(tuple(r), tuple(w)) for r, w in res.bindings] == [
+        ((3, 2), (1, 1)), ((2, 0), (1, 1)), ((2, 1), (3, 0)), ((0, 1), (0, 0)),
+        ((0, 2), (3, 0)), ((2, 2), (3, 0)), ((3, 3), (3, 1)), ((0, 3), (0, 0)),
+        ((2, 3), (1, 3)), ((0, 4), (3, 0)), ((3, 4), (3, 1)), ((0, 5), (3, 0)),
+        ((2, 4), (3, 1)), ((1, 4), (3, 1)), ((3, 5), (1, 1)), ((3, 6), (1, 1)),
+        ((2, 5), (0, 6)), ((1, 7), (0, 6)), ((1, 8), (1, 6)), ((3, 8), (1, 5)),
+        ((3, 9), (1, 3)), ((2, 7), (1, 9)),
+    ]
+    pos = {_node(ev): e for e, ev in enumerate(events)}
+    assert interleaving_with_binding(events, orders, {pos[r]: pos[w] for r, w in res.bindings})
+
+
+def _workloads():
+    """The benchmark's workload module, which holds its trace generator."""
     path = pathlib.Path(__file__).parent.parent / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    return [parse_trace(text) for text in workloads.Satcheck(3).texts]
+    return workloads
+
+
+def _seed3_pool():
+    """The traces of the benchmark's satcheck workload at seed 3."""
+    return [parse_trace(text) for text in _workloads().Satcheck(3).texts]
+
+
+def test_queries_per_candidate_do_not_grow_with_the_trace(monkeypatch):
+    # A candidate reads four rows, and takes a `reachable` only for the
+    # second and later forced edges of a kind (r -> o, o -> w), each on its
+    # own chain: at most 4 row queries and 2(k - 2) `reachable` calls,
+    # whether the trace has 80 events or 800.
+    import csst.satcheck as satcheck
+
+    log = [Counter()]  # one Counter per candidate, after one for the orderings
+    for name in ("successors", "predecessors", "reachable"):
+        def query(po, *args, _name=name, _real=getattr(DynamicPartialOrder, name)):
+            log[-1][_name] += 1
+            return _real(po, *args)
+
+        monkeypatch.setattr(DynamicPartialOrder, name, query)
+    bind = satcheck._bind
+
+    def spy(*args):
+        log.append(Counter())
+        return bind(*args)
+
+    monkeypatch.setattr(satcheck, "_bind", spy)
+    k = 4
+    for n in (80, 800):
+        text, truth = _workloads().simulate_trace(random.Random(3), k, n // k, 3, 0.4)
+        del log[1:]
+        res = check(*parse_trace(text))
+        assert res.consistent and res.bindings == truth
+        # Values are fresh, so each read has one candidate, and it lives.
+        assert len(log) == 1 + len(truth)
+        for c in log[1:]:
+            assert c["successors"] == c["predecessors"] == 2
+            assert c["reachable"] <= 2 * (k - 2)
+        assert sum(c["reachable"] for c in log[1:]) > 0
+
+
+def test_a_write_waits_on_one_count_not_a_scan_of_its_reads(monkeypatch):
+    # Thread 0 writes x=1 and reads it n times; thread 1 overwrites x n
+    # times, each of which must wait for all of those reads. A wait test
+    # that scans the (write, read) pairs of x takes n steps per overwrite.
+    # The search carries a count of pending reads per variable instead, so
+    # the Python lines it runs grow with the events, not with their square.
+    import csst.satcheck as satcheck
+
+    search = satcheck._realizable
+
+    def tracer(frame, event, arg):
+        nonlocal lines
+        if frame.f_code.co_filename != satcheck.__file__:
+            return None
+        lines += 1
+        return tracer
+
+    def spy(*args):
+        before = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            return search(*args)
+        finally:
+            sys.settrace(before)
+
+    monkeypatch.setattr(satcheck, "_realizable", spy)
+    per_size = []
+    for n in (100, 300):
+        events = [_ev(0, 0, "w", "x", 1)]
+        events += [_ev(0, i, "r", "x", 1) for i in range(1, n + 1)]
+        events += [_ev(1, i, "w", "x", 2) for i in range(n)]
+        lines = 0
+        assert check(events).consistent
+        per_size.append(lines)
+    # three times the events: about three times the lines, where a scan
+    # of the pairs makes it about nine
+    assert 0 < per_size[1] < 4 * per_size[0]
 
 
 def test_no_insert_closes_a_cycle(monkeypatch):
@@ -451,7 +562,8 @@ def test_check_rejects_invalid_input_before_building_the_order(events, orders):
 
 
 def test_the_last_binding_is_saturated_when_the_search_starts(monkeypatch):
-    # After reads[-1] binds to w, every other write o of its variable is
+    # After reads[-1] binds to w, whether the search checks a full binding
+    # or the reads bound so far, every other write o of its variable is
     # ordered against it: w reaches r, w reaching o puts r before o, and o
     # reaching r puts o before w. The edges handed to the interleaving
     # search are the live edges of the order check() built, and they hold
@@ -502,4 +614,7 @@ def test_the_last_binding_is_saturated_when_the_search_starts(monkeypatch):
     rng = random.Random(303)
     for _ in range(300):
         check(*random_trace(rng, max_events=12))
+    # Reused values make full searches fail, so prefix tests run too.
+    for _ in range(100):
+        check(*reused_value_trace(rng))
     assert checked > 100

@@ -39,7 +39,6 @@ from .dynamic import DynamicPartialOrder
 from .incremental import IncrementalPartialOrder
 from .oracle import BruteForcePartialOrder
 from .satcheck import TraceEvent, validate_trace
-from .sst import INF
 
 BACKENDS = {
     "csst-dyn": DynamicPartialOrder,
@@ -218,9 +217,10 @@ class FuzzOptions:
     max_updates: int = 120
     max_queries: int = 400
     delete_frac: float = 0.0
-    # Cheap per-update checks on the dynamic backend (direct-minimum entry
-    # against the least live target, per-array density against cross-chain
-    # density).
+    # Per-update checks on the dynamic backend (direct-minimum entry against
+    # the least live target, per-array density against cross-chain density).
+    # Not free: dyn.density() builds a set of every live edge source on each
+    # update, 5-7% of a delete-mix battery's profiled time.
     check_invariants: bool = True
     # Per-update height sweep over every sparse array; costs a DFS per array,
     # so large batteries may want it off.
@@ -242,6 +242,91 @@ def _draw_scaled(rng: random.Random, cap: int) -> int:
     """1..cap with a bias toward small values but full-range coverage."""
     hi = rng.choice((min(8, cap), min(32, cap), min(cap, 128), cap))
     return rng.randint(1, hi)
+
+
+class _Judge:
+    """Replays an op log record by record on the oracle and on the named
+    backends. `step` applies or asks one record everywhere and returns the
+    first failure it shows, or None. The oracle's own PoError or ValueError
+    passes through: an op the oracle refuses makes the log invalid."""
+
+    def __init__(
+        self, k: int, lengths, names: list[str], invariants: bool = True, heights: bool = True
+    ):
+        self.oracle = BruteForcePartialOrder(k, lengths)
+        self.impls = {n: make_backend(n, k, lengths) for n in names}
+        self.dyn = self.impls.get("csst-dyn")
+        self.invariants = invariants
+        self.heights = heights
+        self.observed_rounds = 0
+
+    def step(self, rec: OpRecord) -> str | None:
+        if rec.op in ("ins", "del", "grow"):
+            return (
+                self._agree(_apply, rec, rec.line())
+                or (rec.op != "grow" and self._dyn_invariants(*rec.args[:3]))
+                or self._tree_bounds()
+            )
+        return (
+            self._agree(_ask, rec, rec.line())
+            # The whole row the query's entry belongs to, entry by entry.
+            or (rec.op != "reach" and self._agree(_row, rec, f"the row of {rec.line()}"))
+            or self._closure_rounds()
+        )
+
+    def _agree(self, fn, rec: OpRecord, what: str) -> str | None:
+        """fn(po, rec) on every backend returns what it returns on the oracle."""
+        want = fn(self.oracle, rec)
+        for name, po in self.impls.items():
+            try:
+                got = fn(po, rec)
+            except PoError as e:
+                return f"backend {name} raised {e} on `{rec.line()}`; the oracle did not"
+            if got != want:
+                return f"backend {name} answered {got!r}, oracle says {want!r} on `{what}`"
+        return None
+
+    def _dyn_invariants(self, t1: int, j1: int, t2: int) -> str | None:
+        """The edge's array entry is its least live target, and no array is
+        denser than the order."""
+        dyn = self.dyn
+        if dyn is None or not self.invariants:
+            return None
+        a = dyn.arrays[t1 * dyn.k + t2]
+        want = dyn.direct_minimum(t1, j1, t2)
+        got = a.value_at(j1)
+        if got != want:
+            return (
+                f"direct-minimum entry mismatch at ({t1},{j1})->chain {t2}: "
+                f"array {got!r} vs least live target {want!r}"
+            )
+        if a.density() > dyn.density():
+            return f"array density {a.density()} exceeds cross-chain density {dyn.density()}"
+        return None
+
+    def _tree_bounds(self) -> str | None:
+        if not self.heights:
+            return None
+        for name in ("csst-dyn", "csst-inc"):
+            for a in getattr(self.impls.get(name), "arrays", ()):
+                if a is None or a.capacity == 0:
+                    continue
+                bound = min(math.ceil(math.log2(max(a.capacity, 2))), a.density())
+                if a.density() and a.height() > bound:
+                    return (
+                        f"{name}: tree height {a.height()} exceeds "
+                        f"min(log2 {a.capacity}, {a.density()})"
+                    )
+        return None
+
+    def _closure_rounds(self) -> str | None:
+        dyn = self.dyn
+        if dyn is None:
+            return None
+        self.observed_rounds = dyn.max_closure_rounds
+        if dyn.max_closure_rounds > dyn.k:
+            return f"closure ran {dyn.max_closure_rounds} rounds on k={dyn.k}"
+        return None
 
 
 class DifferentialRun:
@@ -286,69 +371,28 @@ class DifferentialRun:
         self.ops: list[OpRecord] = [OpRecord("init", (self.k, *self.lengths))]
 
     def run(self) -> None:
+        """Draw ops and judge each as it is drawn, until one fails."""
         opts = self.opts
         rng = self.rng
         k = self.k
         lengths = self.lengths
-        impls = {n: make_backend(n, k, lengths) for n in self.names}
-        oracle = BruteForcePartialOrder(k, lengths)
-        dyn = impls.get("csst-dyn")
-        n_upd = self._n_upd
-        n_q = self._n_q
+        judge = _Judge(k, lengths, self.names, opts.check_invariants, opts.check_heights)
         live: list[tuple[int, int, int, int]] = []
         edge_set: set[tuple[int, int, int, int]] = set()
-
-        def record(op: str, *args: int) -> OpRecord:
-            rec = OpRecord(op, args)
-            self.ops.append(rec)
-            return rec
-
-        def agree(fn, rec: OpRecord, what: str) -> bool:
-            """fn(po, rec) on every backend returns what it returns on the
-            oracle; otherwise records the failure and returns False."""
-            want = fn(oracle, rec)
-            for name, po in impls.items():
-                try:
-                    got = fn(po, rec)
-                except PoError as e:
-                    self.failure = (
-                        f"backend {name} raised {e} on `{rec.line()}`; the oracle did not"
-                    )
-                    return False
-                if got != want:
-                    self._fail(name, what, want, got)
-                    return False
-            return True
-
-        def apply_all(rec: OpRecord) -> bool:
-            return agree(_apply, rec, rec.line())
-
-        steps = n_upd + n_q
-        upd_left, q_left = n_upd, n_q
-        for _ in range(steps):
-            do_update = rng.random() < upd_left / max(upd_left + q_left, 1)
-            if do_update:
+        upd_left, q_left = self._n_upd, self._n_q
+        for _ in range(upd_left + q_left):
+            if rng.random() < upd_left / max(upd_left + q_left, 1):
                 upd_left -= 1
                 r = rng.random()
                 if r < GROW_PROB:
                     t = rng.randrange(k)
-                    new_len = lengths[t] + rng.randint(1, 16)
-                    if not apply_all(record("grow", t, new_len)):
-                        return
-                    lengths[t] = new_len
-                    if opts.check_heights:
-                        self._check_tree_bounds(impls)
+                    rec = OpRecord("grow", (t, lengths[t] + rng.randint(1, 16)))
                 elif live and r < GROW_PROB + opts.delete_frac:
                     e = live.pop(rng.randrange(len(live)))
                     edge_set.discard(e)
-                    t1, j1, t2, j2 = e
-                    if not apply_all(record("del", *e)):
-                        return
-                    if dyn is not None and opts.check_invariants:
-                        self._check_dyn_invariants(dyn, t1, j1, t2)
-                    if self.failure is None and opts.check_heights:
-                        self._check_tree_bounds(impls)
+                    rec = OpRecord("del", e)
                 else:
+                    rec = None
                     for _attempt in range(8):
                         t1 = rng.randrange(k)
                         t2 = rng.randrange(k - 1)
@@ -357,21 +401,14 @@ class DifferentialRun:
                         j1 = rng.randrange(lengths[t1])
                         j2 = rng.randrange(lengths[t2])
                         e = (t1, j1, t2, j2)
-                        if e in edge_set:
+                        if e in edge_set or judge.oracle.reachable(NodeId(t2, j2), NodeId(t1, j1)):
                             continue
-                        if oracle.reachable(NodeId(t2, j2), NodeId(t1, j1)):
-                            continue
-                        if not apply_all(record("ins", *e)):
-                            return
                         live.append(e)
                         edge_set.add(e)
-                        if dyn is not None and opts.check_invariants:
-                            self._check_dyn_invariants(dyn, t1, j1, t2)
-                        if self.failure is None and opts.check_heights:
-                            self._check_tree_bounds(impls)
+                        rec = OpRecord("ins", e)
                         break
-                if self.failure:
-                    return
+                    if rec is None:
+                        continue
             else:
                 q_left -= 1
                 kind = rng.choice(("succ", "pred", "reach"))
@@ -381,94 +418,44 @@ class DifferentialRun:
                 args = (t1, j1, t2)
                 if kind == "reach":
                     args += (rng.randrange(lengths[t2]),)
-                rec = record(kind, *args)
-                if not agree(_ask, rec, rec.line()):
-                    return
-                # The whole row the query's entry belongs to, entry by entry.
-                if kind != "reach" and not agree(_row, rec, f"the row of {rec.line()}"):
-                    return
-                if dyn is not None:
-                    self.observed_rounds = dyn.max_closure_rounds
-                    if dyn.max_closure_rounds > k:
-                        self.failure = (
-                            f"closure ran {dyn.max_closure_rounds} rounds on k={k}"
-                        )
-                        return
-
-    def _fail(self, name: str, query: str, want, got) -> None:
-        self.failure = f"backend {name} answered {got!r}, oracle says {want!r} on `{query}`"
-
-    def _check_dyn_invariants(self, dyn: DynamicPartialOrder, t1: int, j1: int, t2: int) -> None:
-        lst = dyn._store.get((t1, j1, t2))
-        want = lst[0] if lst else INF
-        got = dyn.arrays[t1 * dyn.k + t2].value_at(j1)
-        if got != want:
-            self.failure = (
-                f"direct-minimum entry mismatch at ({t1},{j1})->chain {t2}: "
-                f"array {got!r} vs least live target {want!r}"
-            )
-            return
-        a = dyn.arrays[t1 * dyn.k + t2]
-        if a.density() > dyn.density():
-            self.failure = (
-                f"array density {a.density()} exceeds cross-chain density {dyn.density()}"
-            )
-
-    def _check_tree_bounds(self, impls) -> None:
-        for name in ("csst-dyn", "csst-inc"):
-            po = impls.get(name)
-            if po is None:
-                continue
-            for a in po.arrays:
-                if a is None or a.capacity == 0:
-                    continue
-                bound = min(math.ceil(math.log2(max(a.capacity, 2))), a.density())
-                if a.density() and a.height() > bound:
-                    self.failure = (
-                        f"{name}: tree height {a.height()} exceeds "
-                        f"min(log2 {a.capacity}, {a.density()})"
-                    )
-                    return
+                rec = OpRecord(kind, args)
+            self.ops.append(rec)
+            self.failure = judge.step(rec)
+            if self.failure:
+                break
+            if rec.op == "grow":
+                lengths[rec.args[0]] = rec.args[1]
+        self.observed_rounds = judge.observed_rounds
 
     def oplog_text(self) -> str:
         return "\n".join(r.line() for r in self.ops) + "\n"
 
 
-def _answers(records: list[OpRecord], backend: str) -> list:
-    """Every answer of an op log on one backend, as the fuzzer compares
-    them: each succ or pred answer is followed by its whole row."""
-    po = make_backend(backend, records[0].args[0], list(records[0].args[1:]))
-    out = []
-    for rec in records[1:]:
-        if rec.op in ("ins", "del", "grow"):
-            _apply(po, rec)
-        else:
-            out.append(_ask(po, rec))
-            if rec.op != "reach":
-                out.append(_row(po, rec))
-    return out
-
-
-def _oplog_disagrees(records: list[OpRecord], names: list[str]) -> bool:
-    """True when the log's answers differ between some backend and the
-    oracle, or a backend raises where the oracle answers; used by the
-    shrinker."""
+def _first_failure(records: list[OpRecord], names: list[str]) -> str | None:
+    """The first failure of a whole op log with every check on; None when
+    there is none or the oracle refuses some op of the log, since an
+    invalid log is not a reproducer."""
+    judge = _Judge(records[0].args[0], list(records[0].args[1:]), names)
+    failure = None
     try:
-        want = _answers(records, "oracle")
+        for rec in records[1:]:
+            if failure is None:
+                failure = judge.step(rec)
+            else:  # past the failure only the log's validity is in question
+                (_apply if rec.op in ("ins", "del", "grow") else _ask)(judge.oracle, rec)
     except (PoError, ValueError):
-        return False  # an invalid candidate is not a reproducer
-    for n in names:
-        try:
-            if _answers(records, n) != want:
-                return True
-        except PoError:
-            return True  # the oracle answers the whole log; this backend raises
-    return False
+        return None
+    return failure
 
 
-def shrink_oplog(records: list[OpRecord], names: list[str], budget: int = 300) -> list[OpRecord]:
-    """Greedy delta-debugging: drop ops while the disagreement persists."""
+# Candidate logs the shrinker may judge per failure.
+SHRINK_BUDGET = 300
+
+
+def shrink_oplog(records: list[OpRecord], names: list[str]) -> list[OpRecord]:
+    """Greedy delta debugging: drop ops while the log still fails."""
     cur = records[:]
+    budget = SHRINK_BUDGET
     changed = True
     while changed and budget > 0:
         changed = False
@@ -476,7 +463,7 @@ def shrink_oplog(records: list[OpRecord], names: list[str], budget: int = 300) -
         while i < len(cur) and budget > 0:
             cand = cur[:i] + cur[i + 1 :]
             budget -= 1
-            if _oplog_disagrees(cand, names):
+            if _first_failure(cand, names) is not None:
                 cur = cand
                 changed = True
             else:

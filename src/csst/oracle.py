@@ -76,10 +76,24 @@ class BruteForcePartialOrder(PartialOrderBase):
     def _reachable(self, u: NodeId, v: NodeId) -> bool:
         return (v.chain, v.index) in self._visit_fwd((u.chain, u.index))
 
+    def _successors(self, u: NodeId):
+        row = [None] * self.k
+        for t, i in self._visit_fwd((u.chain, u.index)):
+            if row[t] is None or i < row[t]:
+                row[t] = i
+        row[u.chain] = u.index  # a flood on a cycle reaches below u
+        return row
+
+    def _predecessors(self, u: NodeId):
+        row = [None] * self.k
+        for t, i in self._visit_bwd((u.chain, u.index)):
+            if row[t] is None or i > row[t]:
+                row[t] = i
+        row[u.chain] = u.index
+        return row
+
     def _successor(self, u: NodeId, t2: int):
-        hits = [i for t, i in self._visit_fwd((u.chain, u.index)) if t == t2]
-        return min(hits) if hits else None
+        return self._successors(u)[t2]
 
     def _predecessor(self, u: NodeId, t1: int):
-        hits = [i for t, i in self._visit_bwd((u.chain, u.index)) if t == t1]
-        return max(hits) if hits else None
+        return self._predecessors(u)[t1]

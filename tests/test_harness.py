@@ -159,8 +159,34 @@ def _catches_and_shrinks(monkeypatch, broken):
     lines = [l for l in report.splitlines() if l and not l.startswith(("run", "reproducer"))]
     # the shrunk reproducer still demonstrates the disagreement
     records = parse_oplog("\n".join(lines))
-    assert harness._oplog_disagrees(records, ["graph"])
+    assert harness._first_failure(records, ["graph"]) is not None
     # and it is small: init, one insert, one query is the essence of this bug
+    assert len(records) <= 5
+
+
+class _RoundsOverK(harness.BACKENDS["csst-dyn"]):
+    # answers every query right, but reports k + 1 closure rounds once it
+    # holds two live edges
+    @property
+    def max_closure_rounds(self):
+        return self.k + 1 if self.edge_count() >= 2 else self._rounds
+
+    @max_closure_rounds.setter
+    def max_closure_rounds(self, rounds):
+        self._rounds = rounds
+
+
+def test_fuzz_shrinks_a_broken_invariant(monkeypatch):
+    monkeypatch.setitem(harness.BACKENDS, "csst-dyn", _RoundsOverK)
+    clean, report = fuzz(7, 40, FuzzOptions(max_updates=30, max_queries=80))
+    assert report is not None
+    assert "closure ran" in report.splitlines()[0]
+    lines = [l for l in report.splitlines() if l and not l.startswith(("run", "reproducer"))]
+    records = parse_oplog("\n".join(lines))
+    # the reproducer still breaks the invariant, and only the invariant
+    assert harness._first_failure(records, ALL).startswith("closure ran")
+    assert replay(records, "csst-dyn") == replay(records, "oracle")
+    # init, two inserts and one query are the essence of this failure
     assert len(records) <= 5
 
 
@@ -177,7 +203,7 @@ def test_shrinker_keeps_a_minimal_disagreement(monkeypatch):
     )
     small = shrink_oplog(records, ["graph"])
     assert small[0].op == "init"
-    assert harness._oplog_disagrees(small, ["graph"])
+    assert harness._first_failure(small, ["graph"]) is not None
     assert len(small) < len(records)
 
 

@@ -217,14 +217,6 @@ class FuzzOptions:
     max_updates: int = 120
     max_queries: int = 400
     delete_frac: float = 0.0
-    # Per-update checks on the dynamic backend (direct-minimum entry against
-    # the least live target, per-array density against cross-chain density).
-    # Not free: dyn.density() builds a set of every live edge source on each
-    # update, 5-7% of a delete-mix battery's profiled time.
-    check_invariants: bool = True
-    # Per-update height sweep over every sparse array; costs a DFS per array,
-    # so large batteries may want it off.
-    check_heights: bool = True
 
 
 @dataclass(frozen=True)
@@ -247,18 +239,14 @@ def _draw_scaled(rng: random.Random, cap: int) -> int:
 class _Judge:
     """Replays an op log record by record on the oracle and on the named
     backends. `step` applies or asks one record everywhere and returns the
-    first failure it shows, or None. The oracle's own PoError or ValueError
+    first failure it shows, or None. Any exception a backend raises where
+    the oracle answers is a failure. The oracle's own PoError or ValueError
     passes through: an op the oracle refuses makes the log invalid."""
 
-    def __init__(
-        self, k: int, lengths, names: list[str], invariants: bool = True, heights: bool = True
-    ):
+    def __init__(self, k: int, lengths, names: list[str]):
         self.oracle = BruteForcePartialOrder(k, lengths)
         self.impls = {n: make_backend(n, k, lengths) for n in names}
         self.dyn = self.impls.get("csst-dyn")
-        self.invariants = invariants
-        self.heights = heights
-        self.observed_rounds = 0
 
     def step(self, rec: OpRecord) -> str | None:
         if rec.op in ("ins", "del", "grow"):
@@ -280,8 +268,10 @@ class _Judge:
         for name, po in self.impls.items():
             try:
                 got = fn(po, rec)
-            except PoError as e:
-                return f"backend {name} raised {e} on `{rec.line()}`; the oracle did not"
+            except Exception as e:
+                # a PoError's message starts with its kind; name any other's type
+                err = e if isinstance(e, PoError) else f"{type(e).__name__}: {e}"
+                return f"backend {name} raised {err} on `{rec.line()}`; the oracle did not"
             if got != want:
                 return f"backend {name} answered {got!r}, oracle says {want!r} on `{what}`"
         return None
@@ -290,7 +280,7 @@ class _Judge:
         """The edge's array entry is its least live target, and no array is
         denser than the order."""
         dyn = self.dyn
-        if dyn is None or not self.invariants:
+        if dyn is None:
             return None
         a = dyn.arrays[t1 * dyn.k + t2]
         want = dyn.direct_minimum(t1, j1, t2)
@@ -305,14 +295,12 @@ class _Judge:
         return None
 
     def _tree_bounds(self) -> str | None:
-        if not self.heights:
-            return None
         for name in ("csst-dyn", "csst-inc"):
             for a in getattr(self.impls.get(name), "arrays", ()):
-                if a is None or a.capacity == 0:
+                if a is None or not a.density():
                     continue
                 bound = min(math.ceil(math.log2(max(a.capacity, 2))), a.density())
-                if a.density() and a.height() > bound:
+                if a.height() > bound:
                     return (
                         f"{name}: tree height {a.height()} exceeds "
                         f"min(log2 {a.capacity}, {a.density()})"
@@ -323,7 +311,6 @@ class _Judge:
         dyn = self.dyn
         if dyn is None:
             return None
-        self.observed_rounds = dyn.max_closure_rounds
         if dyn.max_closure_rounds > dyn.k:
             return f"closure ran {dyn.max_closure_rounds} rounds on k={dyn.k}"
         return None
@@ -376,7 +363,7 @@ class DifferentialRun:
         rng = self.rng
         k = self.k
         lengths = self.lengths
-        judge = _Judge(k, lengths, self.names, opts.check_invariants, opts.check_heights)
+        judge = _Judge(k, lengths, self.names)
         live: list[tuple[int, int, int, int]] = []
         edge_set: set[tuple[int, int, int, int]] = set()
         upd_left, q_left = self._n_upd, self._n_q
@@ -425,16 +412,17 @@ class DifferentialRun:
                 break
             if rec.op == "grow":
                 lengths[rec.args[0]] = rec.args[1]
-        self.observed_rounds = judge.observed_rounds
+        # closures run only on queries, so this is the count they were judged on
+        self.observed_rounds = 0 if judge.dyn is None else judge.dyn.max_closure_rounds
 
     def oplog_text(self) -> str:
         return "\n".join(r.line() for r in self.ops) + "\n"
 
 
 def _first_failure(records: list[OpRecord], names: list[str]) -> str | None:
-    """The first failure of a whole op log with every check on; None when
-    there is none or the oracle refuses some op of the log, since an
-    invalid log is not a reproducer."""
+    """The first failure of a whole op log; None when there is none or the
+    oracle refuses some op of the log, since an invalid log is not a
+    reproducer."""
     judge = _Judge(records[0].args[0], list(records[0].args[1:]), names)
     failure = None
     try:

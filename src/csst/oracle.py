@@ -1,8 +1,9 @@
 """Brute-force arbiter: explicit edges, fresh breadth-first search per query.
 
 Nothing is cached, pruned, or amortized; every query walks the graph node by
-node. That makes it slow (think k <= 8, chains <= 2048) and easy to trust,
-which is its entire job in the differential tests.
+node. `reachable` stops its walk once it has reached its target; the row
+queries walk everything reachable. That makes it slow (think k <= 8, chains
+<= 2048) and easy to trust, which is its entire job in the differential tests.
 """
 
 from __future__ import annotations
@@ -36,12 +37,12 @@ class BruteForcePartialOrder(PartialOrderBase):
         outs.remove(b)
         self._rev[b].remove(a)
 
-    def _visit_fwd(self, start: tuple[int, int]):
+    def _visit_fwd(self, start: tuple[int, int], target: tuple[int, int] | None = None):
         seen = {start}
         q = deque([start])
         lengths = self.lengths
         out = self._out
-        while q:
+        while q and target not in seen:  # with no target, visit everything
             node = q.popleft()
             t, i = node
             if i + 1 < lengths[t]:
@@ -74,7 +75,8 @@ class BruteForcePartialOrder(PartialOrderBase):
         return seen
 
     def _reachable(self, u: NodeId, v: NodeId) -> bool:
-        return (v.chain, v.index) in self._visit_fwd((u.chain, u.index))
+        target = (v.chain, v.index)
+        return target in self._visit_fwd((u.chain, u.index), target)
 
     def _successors(self, u: NodeId):
         row = [None] * self.k

@@ -76,7 +76,7 @@ def test_acceptance_1_pinned_examples_run_fast():
 
 
 def test_acceptance_2_insert_only_differential_battery():
-    opts = FuzzOptions(check_invariants=False, check_heights=False)
+    opts = FuzzOptions()
     rng = random.Random(20_001)
     t0 = time.perf_counter()
     for i in range(1000):
@@ -87,11 +87,16 @@ def test_acceptance_2_insert_only_differential_battery():
         if run.failure:
             _report(2, False, f"workload {i}: {run.failure}")
     dt = time.perf_counter() - t0
-    _report(2, dt < 300, f"1000 insert-only workloads, zero mismatches, {dt:.0f}s, budget 300s")
+    _report(
+        2,
+        dt < 300,
+        f"1000 insert-only workloads, csst-inc tree heights swept after every "
+        f"update, zero mismatches, {dt:.0f}s, budget 300s",
+    )
 
 
 def test_acceptance_3_delete_mix_differential_battery():
-    opts = FuzzOptions(delete_frac=0.3, check_invariants=True, check_heights=False)
+    opts = FuzzOptions(delete_frac=0.3)
     rng = random.Random(30_001)
     t0 = time.perf_counter()
     for i in range(1000):
@@ -105,16 +110,16 @@ def test_acceptance_3_delete_mix_differential_battery():
     _report(
         3,
         dt < 600,
-        f"1000 delete-mix workloads, direct-minimum and density checks after "
-        f"every update, zero mismatches, {dt:.0f}s, budget 600s",
+        f"1000 delete-mix workloads, direct-minimum, density and height checks "
+        f"after every update, zero mismatches, {dt:.0f}s, budget 600s",
     )
 
 
 def test_acceptance_4_height_bound_holds_everywhere():
     rng = random.Random(40_001)
     t0 = time.perf_counter()
-    insert_only = FuzzOptions(check_invariants=True, check_heights=True)
-    churn = FuzzOptions(delete_frac=0.3, check_invariants=True, check_heights=True)
+    insert_only = FuzzOptions()
+    churn = FuzzOptions(delete_frac=0.3)
     for i in range(250):
         run = DifferentialRun(
             4_000_000 + i,
@@ -139,7 +144,7 @@ def test_acceptance_4_height_bound_holds_everywhere():
 
 
 def test_acceptance_5_closure_settles_within_chain_count_rounds():
-    opts = FuzzOptions(delete_frac=0.25, check_invariants=False, check_heights=False)
+    opts = FuzzOptions(delete_frac=0.25)
     rng = random.Random(50_001)
     worst = 0
     t0 = time.perf_counter()
@@ -159,7 +164,8 @@ def test_acceptance_5_closure_settles_within_chain_count_rounds():
     _report(
         5,
         worst >= 2,
-        f"300 workloads, closure never exceeded k rounds (worst {worst}), {dt:.0f}s",
+        f"300 workloads, closure never exceeded k rounds (worst {worst}), "
+        f"direct-minimum, density and height checks after every update, {dt:.0f}s",
     )
 
 

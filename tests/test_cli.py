@@ -269,6 +269,24 @@ def test_fuzz_backend_raising_where_the_oracle_answers_exits_two(monkeypatch, ca
     assert err.value.kind is PoErrorKind.CYCLE_DETECTED
 
 
+@pytest.mark.parametrize("error", [IndexError, ValueError])
+def test_fuzz_backend_raising_any_exception_exits_two(monkeypatch, capsys, error):
+    # A ValueError must not pass for the oracle refusing the log, nor any
+    # other exception escape as a traceback.
+    class Raising(harness.BACKENDS["csst-inc"]):
+        def _insert_edge(self, u, v):
+            raise error("planted")
+
+    monkeypatch.setitem(harness.BACKENDS, "csst-inc", Raising)
+    rc = main(["fuzz", "--seed", "7", "--runs", "20", "--backends", "csst-inc"])
+    assert rc == 2
+    out = capsys.readouterr().out
+    assert f"backend csst-inc raised {error.__name__}: planted on `ins " in out
+    records = harness.parse_oplog(out.split("reproducer op-log:\n", 1)[1])
+    assert [r.op for r in records] == ["init", "ins"]
+    assert harness._first_failure(records, ["csst-inc"]) is not None
+
+
 def test_fuzz_refuses_deletes_on_an_insert_only_backend(capsys):
     rc = main(["fuzz", "--seed", "1", "--runs", "3", "--backends", "csst-dyn,csst-inc",
                "--deletes", "0.5"])

@@ -8,7 +8,8 @@
 Exit codes: 0 on success (including an INCONSISTENT satcheck verdict),
 1 on usage or input errors (an input too large to allocate included),
 2 when fuzzing finds a failure: a disagreement, a backend raising where
-the oracle answers, or a broken invariant.
+the oracle answers (in an answer or while an invariant is read from it),
+or a broken invariant.
 """
 
 from __future__ import annotations

@@ -39,6 +39,7 @@ from .dynamic import DynamicPartialOrder
 from .incremental import IncrementalPartialOrder
 from .oracle import BruteForcePartialOrder
 from .satcheck import TraceEvent, validate_trace
+from .sst import SuffixMinArray
 
 BACKENDS = {
     "csst-dyn": DynamicPartialOrder,
@@ -48,16 +49,19 @@ BACKENDS = {
     "st": PlainStPO,
 }
 
+
+def _check_backend(name: str) -> None:
+    if name not in BACKENDS:
+        raise ValueError(f"unknown backend {name!r} (choose from {sorted(BACKENDS)})")
+
+
 def make_backend(name: str, k: int, lengths) -> PartialOrderBase:
     """Instantiate a backend by id; "oracle" also names the brute-force
     arbiter, which is not offered as a backend on the command line."""
     if name == "oracle":
         return BruteForcePartialOrder(k, lengths)
-    try:
-        cls = BACKENDS[name]
-    except KeyError:
-        raise ValueError(f"unknown backend {name!r} (choose from {sorted(BACKENDS)})")
-    return cls(k, lengths)
+    _check_backend(name)
+    return BACKENDS[name](k, lengths)
 
 
 def _refuses_deletes(name: str) -> bool:
@@ -119,32 +123,29 @@ def parse_oplog(text: str) -> list[OpRecord]:
     return records
 
 
-def _ask(po: PartialOrderBase, rec: OpRecord):
-    """Answer one succ, pred or reach record on po."""
+_UPDATES = ("ins", "del", "grow")
+
+
+def _play(po: PartialOrderBase, rec: OpRecord, row: bool = False):
+    """Apply one ins, del or grow record to po, or answer one query record:
+    a reach with a bool, a succ or pred with its one entry. With `row`, a
+    succ or pred answers u's whole successors or predecessors row instead,
+    once po has checked the record's chain id, so that the entry a caller
+    reads from the row is the one the record asks for."""
     a = rec.args
+    op = rec.op
+    if op == "grow":
+        return po.grow(a[0], a[1])
     u = NodeId(a[0], a[1])
-    if rec.op == "succ":
-        return po.successor(u, a[2])
-    if rec.op == "pred":
-        return po.predecessor(u, a[2])
-    return po.reachable(u, NodeId(a[2], a[3]))
-
-
-def _row(po: PartialOrderBase, rec: OpRecord) -> list[int | None]:
-    """The whole successors or predecessors row of a succ or pred record."""
-    u = NodeId(rec.args[0], rec.args[1])
-    return po.successors(u) if rec.op == "succ" else po.predecessors(u)
-
-
-def _apply(po: PartialOrderBase, rec: OpRecord) -> None:
-    """Apply one ins, del or grow record to po."""
-    a = rec.args
-    if rec.op == "ins":
-        po.insert_edge(NodeId(a[0], a[1]), NodeId(a[2], a[3]))
-    elif rec.op == "del":
-        po.delete_edge(NodeId(a[0], a[1]), NodeId(a[2], a[3]))
-    else:
-        po.grow(a[0], a[1])
+    if op == "succ" or op == "pred":
+        if not row:
+            return po.successor(u, a[2]) if op == "succ" else po.predecessor(u, a[2])
+        po._check_chain(a[2])
+        return po.successors(u) if op == "succ" else po.predecessors(u)
+    v = NodeId(a[2], a[3])
+    if op == "reach":
+        return po.reachable(u, v)
+    return po.insert_edge(u, v) if op == "ins" else po.delete_edge(u, v)
 
 
 def replay(records: list[OpRecord], backend: str) -> list[str]:
@@ -155,15 +156,14 @@ def replay(records: list[OpRecord], backend: str) -> list[str]:
     po = make_backend(backend, k, list(records[0].args[1:]))
     out: list[str] = []
     for rec in records[1:]:
-        if rec.op in ("ins", "del", "grow"):
-            _apply(po, rec)
-        else:
-            r = _ask(po, rec)
-            if rec.op == "reach":
-                r = "true" if r else "false"
-            elif r is None:
-                r = "inf" if rec.op == "succ" else "none"
-            out.append(f"{rec.op} -> {r}")
+        r = _play(po, rec)
+        if rec.op in _UPDATES:
+            continue
+        if rec.op == "reach":
+            r = "true" if r else "false"
+        elif r is None:
+            r = "inf" if rec.op == "succ" else "none"
+        out.append(f"{rec.op} -> {r}")
     return out
 
 
@@ -238,81 +238,77 @@ def _draw_scaled(rng: random.Random, cap: int) -> int:
 
 class _Judge:
     """Replays an op log record by record on the oracle and on the named
-    backends. `step` applies or asks one record everywhere and returns the
-    first failure it shows, or None. Any exception a backend raises where
-    the oracle answers is a failure. The oracle's own PoError or ValueError
+    backends. `step` asks the oracle once per record (a succ or pred for
+    u's whole row), then judges each backend on the record in one guarded
+    call, and returns the first failure it shows, or None. A failure is an
+    answer or row that differs from the oracle's, a broken invariant, or
+    any exception a backend raises where the oracle answers, in an answer
+    or in an invariant read alike. The oracle's own PoError or ValueError
     passes through: an op the oracle refuses makes the log invalid."""
 
     def __init__(self, k: int, lengths, names: list[str]):
         self.oracle = BruteForcePartialOrder(k, lengths)
         self.impls = {n: make_backend(n, k, lengths) for n in names}
-        self.dyn = self.impls.get("csst-dyn")
+        # the largest closure-round count read from a DynamicPartialOrder
+        self.rounds = 0
 
     def step(self, rec: OpRecord) -> str | None:
-        if rec.op in ("ins", "del", "grow"):
-            return (
-                self._agree(_apply, rec, rec.line())
-                or (rec.op != "grow" and self._dyn_invariants(*rec.args[:3]))
-                or self._tree_bounds()
-            )
-        return (
-            self._agree(_ask, rec, rec.line())
-            # The whole row the query's entry belongs to, entry by entry.
-            or (rec.op != "reach" and self._agree(_row, rec, f"the row of {rec.line()}"))
-            or self._closure_rounds()
-        )
-
-    def _agree(self, fn, rec: OpRecord, what: str) -> str | None:
-        """fn(po, rec) on every backend returns what it returns on the oracle."""
-        want = fn(self.oracle, rec)
+        want = _play(self.oracle, rec, row=True)
         for name, po in self.impls.items():
             try:
-                got = fn(po, rec)
+                failure = self._judge(name, po, rec, want)
             except Exception as e:
                 # a PoError's message starts with its kind; name any other's type
                 err = e if isinstance(e, PoError) else f"{type(e).__name__}: {e}"
                 return f"backend {name} raised {err} on `{rec.line()}`; the oracle did not"
-            if got != want:
-                return f"backend {name} answered {got!r}, oracle says {want!r} on `{what}`"
+            if failure:
+                return failure
         return None
 
-    def _dyn_invariants(self, t1: int, j1: int, t2: int) -> str | None:
-        """The edge's array entry is its least live target, and no array is
-        denser than the order."""
-        dyn = self.dyn
-        if dyn is None:
+    def _judge(self, name: str, po: PartialOrderBase, rec: OpRecord, want) -> str | None:
+        """Everything the judge reads from po on rec, given the oracle's
+        answer `want` (for a succ or pred, u's row): po's answer, and its
+        row too for a succ or pred; after an insert or delete on a
+        DynamicPartialOrder, the direct-minimum and density checks; after
+        any update, the height of every SuffixMinArray po holds; after a
+        query on a DynamicPartialOrder, the closure-round bound."""
+        query = rec.op == "succ" or rec.op == "pred"
+        entry = want[rec.args[2]] if query else want
+        what = rec.line()
+        got = _play(po, rec)
+        if query and got == entry:  # the entry agrees; judge its whole row
+            got, entry, what = _play(po, rec, row=True), want, f"the row of {what}"
+        if got != entry:
+            return f"backend {name} answered {got!r}, oracle says {entry!r} on `{what}`"
+        dyn = isinstance(po, DynamicPartialOrder)
+        if rec.op not in _UPDATES:
+            if dyn:
+                rounds = po.max_closure_rounds
+                self.rounds = max(self.rounds, rounds)
+                if rounds > po.k:
+                    return f"closure ran {rounds} rounds on k={po.k}"
             return None
-        a = dyn.arrays[t1 * dyn.k + t2]
-        want = dyn.direct_minimum(t1, j1, t2)
-        got = a.value_at(j1)
-        if got != want:
-            return (
-                f"direct-minimum entry mismatch at ({t1},{j1})->chain {t2}: "
-                f"array {got!r} vs least live target {want!r}"
-            )
-        if a.density() > dyn.density():
-            return f"array density {a.density()} exceeds cross-chain density {dyn.density()}"
-        return None
-
-    def _tree_bounds(self) -> str | None:
-        for name in ("csst-dyn", "csst-inc"):
-            for a in getattr(self.impls.get(name), "arrays", ()):
-                if a is None or not a.density():
-                    continue
+        if dyn and rec.op != "grow":
+            # the edge's array entry is its least live target, and no array
+            # is denser than the order
+            t1, j1, t2 = rec.args[:3]
+            a = po.arrays[t1 * po.k + t2]
+            least, got = po.direct_minimum(t1, j1, t2), a.value_at(j1)
+            if got != least:
+                return (
+                    f"direct-minimum entry mismatch at ({t1},{j1})->chain {t2}: "
+                    f"array {got!r} vs least live target {least!r}"
+                )
+            if a.density() > po.density():
+                return f"array density {a.density()} exceeds cross-chain density {po.density()}"
+        for a in getattr(po, "arrays", ()):
+            if isinstance(a, SuffixMinArray) and a.density():
                 bound = min(math.ceil(math.log2(max(a.capacity, 2))), a.density())
                 if a.height() > bound:
                     return (
                         f"{name}: tree height {a.height()} exceeds "
                         f"min(log2 {a.capacity}, {a.density()})"
                     )
-        return None
-
-    def _closure_rounds(self) -> str | None:
-        dyn = self.dyn
-        if dyn is None:
-            return None
-        if dyn.max_closure_rounds > dyn.k:
-            return f"closure ran {dyn.max_closure_rounds} rounds on k={dyn.k}"
         return None
 
 
@@ -412,8 +408,7 @@ class DifferentialRun:
                 break
             if rec.op == "grow":
                 lengths[rec.args[0]] = rec.args[1]
-        # closures run only on queries, so this is the count they were judged on
-        self.observed_rounds = 0 if judge.dyn is None else judge.dyn.max_closure_rounds
+        self.observed_rounds = judge.rounds
 
     def oplog_text(self) -> str:
         return "\n".join(r.line() for r in self.ops) + "\n"
@@ -430,7 +425,7 @@ def _first_failure(records: list[OpRecord], names: list[str]) -> str | None:
             if failure is None:
                 failure = judge.step(rec)
             else:  # past the failure only the log's validity is in question
-                (_apply if rec.op in ("ins", "del", "grow") else _ask)(judge.oracle, rec)
+                _play(judge.oracle, rec)
     except (PoError, ValueError):
         return None
     return failure
@@ -463,10 +458,10 @@ def fuzz(seed: int, runs: int, opts: FuzzOptions, backends: list[str] | None = N
     """Run seeded differential workloads. Returns (clean_runs, report|None).
     Raises ValueError up front when deletes are asked of an insert-only
     backend, so that no log, shrunk or not, makes one delete."""
-    if opts.delete_frac > 0:
-        for name in backends or ():
-            if _refuses_deletes(name):
-                raise ValueError(f"backend {name} is insert-only; it cannot be fuzzed with deletes")
+    for name in backends or ():
+        _check_backend(name)  # the oracle too: raced against itself it checks nothing
+        if opts.delete_frac > 0 and _refuses_deletes(name):
+            raise ValueError(f"backend {name} is insert-only; it cannot be fuzzed with deletes")
     for i in range(runs):
         run = DifferentialRun(seed * 1_000_003 + i, opts, backends)
         run.run()

@@ -272,19 +272,31 @@ def test_fuzz_backend_raising_where_the_oracle_answers_exits_two(monkeypatch, ca
 @pytest.mark.parametrize("error", [IndexError, ValueError])
 def test_fuzz_backend_raising_any_exception_exits_two(monkeypatch, capsys, error):
     # A ValueError must not pass for the oracle refusing the log, nor any
-    # other exception escape as a traceback.
-    class Raising(harness.BACKENDS["csst-inc"]):
-        def _insert_edge(self, u, v):
-            raise error("planted")
+    # other exception escape as a traceback, whether a backend raises in an
+    # answer (csst-inc's insert) or in an invariant read (csst-dyn's
+    # direct-minimum check).
+    def planted(self, *args):
+        raise error("planted")
 
-    monkeypatch.setitem(harness.BACKENDS, "csst-inc", Raising)
-    rc = main(["fuzz", "--seed", "7", "--runs", "20", "--backends", "csst-inc"])
-    assert rc == 2
-    out = capsys.readouterr().out
-    assert f"backend csst-inc raised {error.__name__}: planted on `ins " in out
-    records = harness.parse_oplog(out.split("reproducer op-log:\n", 1)[1])
-    assert [r.op for r in records] == ["init", "ins"]
-    assert harness._first_failure(records, ["csst-inc"]) is not None
+    for backend, method in (("csst-inc", "_insert_edge"), ("csst-dyn", "direct_minimum")):
+        raising = type("Raising", (harness.BACKENDS[backend],), {method: planted})
+        monkeypatch.setitem(harness.BACKENDS, backend, raising)
+        rc = main(["fuzz", "--seed", "7", "--runs", "20", "--backends", backend])
+        assert rc == 2, backend
+        out = capsys.readouterr().out
+        assert f"backend {backend} raised {error.__name__}: planted on `ins " in out
+        records = harness.parse_oplog(out.split("reproducer op-log:\n", 1)[1])
+        assert [r.op for r in records] == ["init", "ins"]
+        assert harness._first_failure(records, [backend]) is not None
+
+
+def test_fuzz_refuses_the_oracle_as_a_backend(capsys):
+    # raced against itself the oracle would check nothing
+    rc = main(["fuzz", "--seed", "1", "--runs", "3", "--backends", "oracle"])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: unknown backend 'oracle' (choose from {sorted(harness.BACKENDS)})\n"
 
 
 def test_fuzz_refuses_deletes_on_an_insert_only_backend(capsys):

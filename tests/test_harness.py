@@ -16,6 +16,7 @@ from csst.harness import (
     run_bench,
     shrink_oplog,
 )
+from csst.oracle import BruteForcePartialOrder
 
 ALL = ["csst-dyn", "csst-inc", "vc", "graph", "st"]
 
@@ -160,18 +161,20 @@ class _BrokenGraphRows(harness.BACKENDS["graph"]):
 
 
 def test_fuzz_catches_a_planted_bug_and_shrinks(monkeypatch):
-    _catches_and_shrinks(monkeypatch, _BrokenGraph)
+    _catches_and_shrinks(monkeypatch, _BrokenGraph, 0xA5128F16)
 
 
 def test_fuzz_catches_a_planted_row_bug_and_shrinks(monkeypatch):
-    _catches_and_shrinks(monkeypatch, _BrokenGraphRows)
+    _catches_and_shrinks(monkeypatch, _BrokenGraphRows, 0x876CB1DE)
 
 
-def _catches_and_shrinks(monkeypatch, broken):
+def _catches_and_shrinks(monkeypatch, broken, crc):
     monkeypatch.setitem(harness.BACKENDS, "graph", broken)
     clean, report = fuzz(7, 40, FuzzOptions(max_updates=30, max_queries=80))
     assert report is not None
     assert "backend graph" in report
+    # the whole report, wording and shrunk log alike, is pinned
+    assert zlib.crc32(report.encode()) == crc
     lines = [l for l in report.splitlines() if l and not l.startswith(("run", "reproducer"))]
     # the shrunk reproducer still demonstrates the disagreement
     records = parse_oplog("\n".join(lines))
@@ -197,6 +200,7 @@ def test_fuzz_shrinks_a_broken_invariant(monkeypatch):
     clean, report = fuzz(7, 40, FuzzOptions(max_updates=30, max_queries=80))
     assert report is not None
     assert "closure ran" in report.splitlines()[0]
+    assert zlib.crc32(report.encode()) == 0xE94147E3
     lines = [l for l in report.splitlines() if l and not l.startswith(("run", "reproducer"))]
     records = parse_oplog("\n".join(lines))
     # the reproducer still breaks the invariant, and only the invariant
@@ -204,6 +208,35 @@ def test_fuzz_shrinks_a_broken_invariant(monkeypatch):
     assert replay(records, "csst-dyn") == replay(records, "oracle")
     # init, two inserts and one query are the essence of this failure
     assert len(records) <= 5
+
+
+def test_judge_walks_the_oracle_once_per_query(monkeypatch):
+    walks = []
+
+    def counted(visit):
+        def wrapper(self, *args):
+            walks.append(visit.__name__)
+            return visit(self, *args)
+
+        return wrapper
+
+    for visit in (BruteForcePartialOrder._visit_fwd, BruteForcePartialOrder._visit_bwd):
+        monkeypatch.setattr(BruteForcePartialOrder, visit.__name__, counted(visit))
+    records = parse_oplog(SMALL_LOG)
+    judge = harness._Judge(records[0].args[0], list(records[0].args[1:]), ALL)
+    for rec in records[1:]:
+        walks.clear()
+        assert judge.step(rec) is None
+        # an update walks nothing; a query, its row included, walks once
+        assert len(walks) == (0 if rec.op == "ins" else 1), (rec.line(), walks)
+
+
+@pytest.mark.parametrize("query", ["succ 0 0 2", "succ 0 0 -1", "pred 1 1 2", "pred 1 1 -1"])
+def test_a_query_on_no_such_chain_makes_the_log_invalid(query):
+    # the oracle refuses the chain id before any row entry is read, so a
+    # row never wraps on a negative index into an answer
+    records = parse_oplog(f"init 2 3 3\nins 0 0 1 1\n{query}\n")
+    assert harness._first_failure(records, ALL) is None
 
 
 def test_shrinker_keeps_a_minimal_disagreement(monkeypatch):

@@ -14,13 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from .core import (
-    NodeId,
-    PartialOrderBase,
-    delete_unsupported,
-    duplicate_edge,
-    missing_edge,
-)
+from .core import NodeId, PartialOrderBase, PoError, PoErrorKind
 from .incremental import IncrementalPartialOrder
 from .sst import INF
 
@@ -110,9 +104,6 @@ class VectorClockPO(PartialOrderBase):
                 for t2, j2 in hits:
                     work.append((dst, t2, j2))
 
-    def _delete_edge(self, u: NodeId, v: NodeId) -> None:
-        raise delete_unsupported(u, v)
-
     # -- queries ---------------------------------------------------------------
 
     def _reachable(self, u: NodeId, v: NodeId) -> bool:
@@ -166,7 +157,7 @@ class GraphPO(PartialOrderBase):
         t2, j2 = v
         outs = self._out[t1].setdefault(j1, [])
         if (t2, j2) in outs:
-            raise duplicate_edge(u, v)
+            raise PoError(PoErrorKind.DUPLICATE_EDGE, (u, v))
         outs.append((t2, j2))
         self._rev[t2].setdefault(j2, []).append((t1, j1))
 
@@ -175,7 +166,7 @@ class GraphPO(PartialOrderBase):
         t2, j2 = v
         outs = self._out[t1].get(j1)
         if not outs or (t2, j2) not in outs:
-            raise missing_edge(u, v)
+            raise PoError(PoErrorKind.MISSING_EDGE, (u, v))
         outs.remove((t2, j2))
         if not outs:
             del self._out[t1][j1]

@@ -52,37 +52,16 @@ class PoError(Exception):
         super().__init__(msg)
 
 
-def out_of_range(*nodes: NodeId, detail: str = "") -> PoError:
-    return PoError(PoErrorKind.OUT_OF_RANGE, nodes, detail)
-
-
-def same_chain_update(u: NodeId, v: NodeId) -> PoError:
-    return PoError(PoErrorKind.SAME_CHAIN_UPDATE, (u, v))
-
-
-def duplicate_edge(u: NodeId, v: NodeId) -> PoError:
-    return PoError(PoErrorKind.DUPLICATE_EDGE, (u, v))
-
-
-def missing_edge(u: NodeId, v: NodeId) -> PoError:
-    return PoError(PoErrorKind.MISSING_EDGE, (u, v))
-
-
-def delete_unsupported(u: NodeId, v: NodeId) -> PoError:
-    return PoError(PoErrorKind.DELETE_UNSUPPORTED, (u, v))
-
-
-def cycle_detected(u: NodeId, v: NodeId) -> PoError:
-    return PoError(PoErrorKind.CYCLE_DETECTED, (u, v))
-
-
 class PartialOrderBase:
     """Common validation and trivia shared by every order implementation.
 
     Subclasses maintain self.lengths (list[int], current chain lengths) and
-    implement _insert_edge, _delete_edge, _successor, _predecessor,
-    _reachable and optionally _grow. The base handles argument validation and
-    the same-chain trivial cases; _reachable sees only valid cross-chain pairs.
+    implement _insert_edge, _successor, _predecessor, _reachable and
+    optionally _delete_edge and _grow. The base handles argument validation
+    and the same-chain trivial cases; _reachable sees only valid cross-chain
+    pairs. An order that does not implement _delete_edge is insert-only: the
+    base's raises DeleteUnsupported on every valid cross-chain delete, and
+    the fuzzer reads insert-only from exactly that.
     The row queries _successors and _predecessors default to one _successor
     or _predecessor per other chain; a backend that computes the whole row
     anyway overrides them.
@@ -102,11 +81,11 @@ class PartialOrderBase:
 
     def _check_node(self, u: NodeId) -> None:
         if not (0 <= u.chain < self.k) or not (0 <= u.index < self.lengths[u.chain]):
-            raise out_of_range(u)
+            raise PoError(PoErrorKind.OUT_OF_RANGE, (u,))
 
     def _check_chain(self, t: int) -> None:
         if not (0 <= t < self.k):
-            raise out_of_range(NodeId(t, 0), detail="no such chain")
+            raise PoError(PoErrorKind.OUT_OF_RANGE, (NodeId(t, 0),), "no such chain")
 
     # -- public interface ----------------------------------------------------
 
@@ -115,7 +94,7 @@ class PartialOrderBase:
         self._check_node(u)
         self._check_node(v)
         if u.chain == v.chain:
-            raise same_chain_update(u, v)
+            raise PoError(PoErrorKind.SAME_CHAIN_UPDATE, (u, v))
         self._insert_edge(u, v)
 
     def delete_edge(self, u: NodeId, v: NodeId) -> None:
@@ -123,7 +102,7 @@ class PartialOrderBase:
         self._check_node(u)
         self._check_node(v)
         if u.chain == v.chain:
-            raise same_chain_update(u, v)
+            raise PoError(PoErrorKind.SAME_CHAIN_UPDATE, (u, v))
         self._delete_edge(u, v)
 
     def successor(self, u: NodeId, t2: int) -> int | None:
@@ -181,7 +160,7 @@ class PartialOrderBase:
         raise NotImplementedError
 
     def _delete_edge(self, u: NodeId, v: NodeId) -> None:
-        raise NotImplementedError
+        raise PoError(PoErrorKind.DELETE_UNSUPPORTED, (u, v))
 
     def _successor(self, u: NodeId, t2: int) -> int | None:
         raise NotImplementedError

@@ -56,7 +56,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from .core import ChainPairOrder, NodeId, duplicate_edge, missing_edge
+from .core import ChainPairOrder, NodeId, PoError, PoErrorKind
 from .sst import INF
 
 
@@ -94,7 +94,7 @@ class DynamicPartialOrder(ChainPairOrder):
         if lst is not None:
             i = bisect_left(lst, j2)
             if i < len(lst) and lst[i] == j2:
-                raise duplicate_edge(u, v)
+                raise PoError(PoErrorKind.DUPLICATE_EDGE, (u, v))
         if lst is None:
             self._store[key] = [j2]
             cur = INF
@@ -112,10 +112,10 @@ class DynamicPartialOrder(ChainPairOrder):
         key = (t1, j1, t2)
         lst = self._store.get(key)
         if lst is None:
-            raise missing_edge(u, v)
+            raise PoError(PoErrorKind.MISSING_EDGE, (u, v))
         i = bisect_left(lst, j2)
         if i >= len(lst) or lst[i] != j2:
-            raise missing_edge(u, v)
+            raise PoError(PoErrorKind.MISSING_EDGE, (u, v))
         lst.pop(i)
         if i == 0:
             # The array entry was this minimum; promote the next target.

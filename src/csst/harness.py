@@ -34,7 +34,7 @@ import time
 from dataclasses import dataclass
 
 from .baselines import GraphPO, PlainStPO, VectorClockPO
-from .core import NodeId, PartialOrderBase, PoError, PoErrorKind
+from .core import NodeId, PartialOrderBase, PoError
 from .dynamic import DynamicPartialOrder
 from .incremental import IncrementalPartialOrder
 from .oracle import BruteForcePartialOrder
@@ -44,9 +44,9 @@ from .sst import SuffixMinArray
 BACKENDS = {
     "csst-dyn": DynamicPartialOrder,
     "csst-inc": IncrementalPartialOrder,
+    "st": PlainStPO,
     "vc": VectorClockPO,
     "graph": GraphPO,
-    "st": PlainStPO,
 }
 
 
@@ -65,15 +65,9 @@ def make_backend(name: str, k: int, lengths) -> PartialOrderBase:
 
 
 def _refuses_deletes(name: str) -> bool:
-    """Whether backend `name` answers a delete with DeleteUnsupported."""
-    po = make_backend(name, 2, [1, 1])
-    u, v = NodeId(0, 0), NodeId(1, 0)
-    po.insert_edge(u, v)
-    try:
-        po.delete_edge(u, v)
-    except PoError as e:
-        return e.kind is PoErrorKind.DELETE_UNSUPPORTED
-    return False
+    """Whether backend `name` is insert-only: its class keeps the base's
+    _delete_edge, which raises DeleteUnsupported. Builds no backend."""
+    return BACKENDS[name]._delete_edge is PartialOrderBase._delete_edge
 
 
 # -- op logs -----------------------------------------------------------------------
@@ -237,26 +231,34 @@ def _draw_scaled(rng: random.Random, cap: int) -> int:
 
 
 class _Judge:
-    """Replays an op log record by record on the oracle and on the named
-    backends. `step` asks the oracle once per record (a succ or pred for
-    u's whole row), then judges each backend on the record in one guarded
-    call, and returns the first failure it shows, or None. A failure is an
-    answer or row that differs from the oracle's, a broken invariant, or
-    any exception a backend raises where the oracle answers, in an answer
-    or in an invariant read alike. The oracle's own PoError or ValueError
-    passes through: an op the oracle refuses makes the log invalid."""
+    """Replays an op log record by record, its init record first, on the
+    oracle and on the named backends. `step` on the init record builds the
+    oracle, then each backend in one guarded call; on any other record it
+    asks the oracle once (a succ or pred for u's whole row), then judges
+    each backend on the record in one guarded call. It returns the first
+    failure it shows, or None. A failure is an answer or row that differs
+    from the oracle's, a broken invariant, or any exception a backend
+    raises where the oracle answers, in its constructor, an answer or an
+    invariant read alike. The oracle's own PoError or ValueError passes
+    through: an op the oracle refuses makes the log invalid."""
 
-    def __init__(self, k: int, lengths, names: list[str]):
-        self.oracle = BruteForcePartialOrder(k, lengths)
-        self.impls = {n: make_backend(n, k, lengths) for n in names}
+    def __init__(self, names: list[str]):
+        self.names = names
+        self.impls: dict[str, PartialOrderBase] = {}
         # the largest closure-round count read from a DynamicPartialOrder
         self.rounds = 0
 
     def step(self, rec: OpRecord) -> str | None:
-        want = _play(self.oracle, rec, row=True)
-        for name, po in self.impls.items():
+        init = rec.op == "init"
+        if init:
+            self.oracle = BruteForcePartialOrder(rec.args[0], list(rec.args[1:]))
+        want = None if init else _play(self.oracle, rec, row=True)
+        for name in self.names:
             try:
-                failure = self._judge(name, po, rec, want)
+                if init:
+                    self.impls[name] = make_backend(name, rec.args[0], list(rec.args[1:]))
+                    continue
+                failure = self._judge(name, self.impls[name], rec, want)
             except Exception as e:
                 # a PoError's message starts with its kind; name any other's type
                 err = e if isinstance(e, PoError) else f"{type(e).__name__}: {e}"
@@ -343,11 +345,7 @@ class DifferentialRun:
             self._n_upd = shape.n_updates
             self._n_q = shape.n_queries
         if backends is None:
-            backends = (
-                ["csst-dyn", "graph"]
-                if opts.delete_frac > 0
-                else ["csst-dyn", "csst-inc", "st", "vc", "graph"]
-            )
+            backends = [n for n in BACKENDS if not (opts.delete_frac > 0 and _refuses_deletes(n))]
         self.names = backends
         self.failure: str | None = None
         self.observed_rounds = 0
@@ -359,7 +357,10 @@ class DifferentialRun:
         rng = self.rng
         k = self.k
         lengths = self.lengths
-        judge = _Judge(k, lengths, self.names)
+        judge = _Judge(self.names)
+        self.failure = judge.step(self.ops[0])
+        if self.failure:
+            return
         live: list[tuple[int, int, int, int]] = []
         edge_set: set[tuple[int, int, int, int]] = set()
         upd_left, q_left = self._n_upd, self._n_q
@@ -418,10 +419,10 @@ def _first_failure(records: list[OpRecord], names: list[str]) -> str | None:
     """The first failure of a whole op log; None when there is none or the
     oracle refuses some op of the log, since an invalid log is not a
     reproducer."""
-    judge = _Judge(records[0].args[0], list(records[0].args[1:]), names)
+    judge = _Judge(names)
     failure = None
     try:
-        for rec in records[1:]:
+        for rec in records:
             if failure is None:
                 failure = judge.step(rec)
             else:  # past the failure only the log's validity is in question
@@ -457,7 +458,9 @@ def shrink_oplog(records: list[OpRecord], names: list[str]) -> list[OpRecord]:
 def fuzz(seed: int, runs: int, opts: FuzzOptions, backends: list[str] | None = None):
     """Run seeded differential workloads. Returns (clean_runs, report|None).
     Raises ValueError up front when deletes are asked of an insert-only
-    backend, so that no log, shrunk or not, makes one delete."""
+    backend, one whose class does not implement _delete_edge, so that no
+    log, shrunk or not, makes one delete. With no `backends`, each run
+    races every backend that can take its ops."""
     for name in backends or ():
         _check_backend(name)  # the oracle too: raced against itself it checks nothing
         if opts.delete_frac > 0 and _refuses_deletes(name):

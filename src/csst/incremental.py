@@ -33,12 +33,12 @@ the frontier, at a fraction of the probes. An insert makes at most
 (2(k-1)^2 + 1 array operations), the cycle test included.
 
 Edges can only be added. Re-inserting an edge that is already implied is
-a no-op. delete_edge always raises DeleteUnsupported.
+a no-op. delete_edge raises the base's DeleteUnsupported.
 """
 
 from __future__ import annotations
 
-from .core import ChainPairOrder, NodeId, cycle_detected, delete_unsupported
+from .core import ChainPairOrder, NodeId, PoError, PoErrorKind
 from .sst import INF
 
 
@@ -58,7 +58,7 @@ class IncrementalPartialOrder(ChainPairOrder):
             return  # 1. implied: u, and so whatever reaches u, reaches v
         vrow = t2 * k
         if arr[vrow + t1].min_suffix(j2) <= j1:
-            raise cycle_detected(u, v)  # v reaches u
+            raise PoError(PoErrorKind.CYCLE_DETECTED, (u, v))  # v reaches u
         urow = t1 * k
         # 2. Columns: v's successor s on chain t. Whatever reaches u reaches
         # what u reaches, so (t, s) is new to u's predecessors only where u
@@ -98,9 +98,6 @@ class IncrementalPartialOrder(ChainPairOrder):
                     a = arr[row + tb]
                     if a.min_suffix(p) > s:
                         a.update(p, s)
-
-    def _delete_edge(self, u: NodeId, v: NodeId) -> None:
-        raise delete_unsupported(u, v)
 
     # -- queries ---------------------------------------------------------------
 

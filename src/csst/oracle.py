@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .core import NodeId, PartialOrderBase, duplicate_edge, missing_edge
+from .core import NodeId, PartialOrderBase, PoError, PoErrorKind
 
 
 class BruteForcePartialOrder(PartialOrderBase):
@@ -24,7 +24,7 @@ class BruteForcePartialOrder(PartialOrderBase):
         b = (v.chain, v.index)
         outs = self._out.setdefault(a, [])
         if b in outs:
-            raise duplicate_edge(u, v)
+            raise PoError(PoErrorKind.DUPLICATE_EDGE, (u, v))
         outs.append(b)
         self._rev.setdefault(b, []).append(a)
 
@@ -33,7 +33,7 @@ class BruteForcePartialOrder(PartialOrderBase):
         b = (v.chain, v.index)
         outs = self._out.get(a)
         if not outs or b not in outs:
-            raise missing_edge(u, v)
+            raise PoError(PoErrorKind.MISSING_EDGE, (u, v))
         outs.remove(b)
         self._rev[b].remove(a)
 

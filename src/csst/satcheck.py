@@ -36,10 +36,10 @@ A candidate reads four rows, all before it inserts anything: the
   2(k - 2) `reachable` calls, however long the trace.
 
 Each up-front ordering u -> v is refused when v already reaches u, so the
-order never has a cycle. Every insert goes
-through a `_Candidate`, and a rollback deletes exactly what its candidate
-inserted (exact deletes restore the prior direct edges); the next
-candidate is then tried, backtracking across reads.
+order never has a cycle. Every insert goes through `_force`, which records
+it in the list of edges its binding (or the up-front orderings) inserted,
+and a rollback deletes exactly that list (exact deletes restore the prior
+direct edges); the next candidate is then tried, backtracking across reads.
 
 A full binding is accepted once a search finds one concrete interleaving,
 so the verdict matches exhaustive enumeration. An event fires after its
@@ -118,42 +118,28 @@ class CheckResult:
     bindings: list[tuple[NodeId, NodeId]]
 
 
-class _Candidate:
-    """Edges inserted on behalf of one tentative read binding."""
-
-    def __init__(self, po: DynamicPartialOrder):
-        self.po = po
-        self.inserted: list[tuple[NodeId, NodeId]] = []
-
-    def force(self, edges: list[tuple[NodeId, NodeId]]) -> None:
-        """Insert each edge, none of which closes a cycle. The first is not
-        yet implied; an insert may imply a later one, so each later one is
-        tested first."""
-        for n, (u, v) in enumerate(edges):
-            if n == 0 or not self.po.reachable(u, v):
-                self.po.insert_edge(u, v)
-                self.inserted.append((u, v))
-
-    def order_checked(self, u: NodeId, v: NodeId) -> bool:
-        """Require u before v; returns False when v already reaches u."""
-        if u.chain == v.chain:
-            return u.index < v.index
-        if self.po.reachable(u, v):
-            return True
-        if self.po.reachable(v, u):
-            return False
-        self.force([(u, v)])
-        return True
-
-    def rollback(self) -> None:
-        for u, v in reversed(self.inserted):
-            self.po.delete_edge(u, v)
-        self.inserted.clear()
+_Edges = list[tuple[NodeId, NodeId]]
 
 
-def _bind(po: DynamicPartialOrder, nw: NodeId, nr: NodeId, writes) -> _Candidate | None:
-    """The candidate binding read nr to write nw, or None when it is dead.
-    `writes[c]`: the sorted indices of chain c's writes to their variable."""
+def _force(po: DynamicPartialOrder, edges: _Edges, inserted: _Edges) -> None:
+    """Insert each edge, none of which closes a cycle, and append it to
+    `inserted`. The first is not yet implied; an insert may imply a later
+    one, so each later one is tested first."""
+    for n, (u, v) in enumerate(edges):
+        if n == 0 or not po.reachable(u, v):
+            po.insert_edge(u, v)
+            inserted.append((u, v))
+
+
+def _rollback(po: DynamicPartialOrder, inserted: _Edges) -> None:
+    for u, v in reversed(inserted):
+        po.delete_edge(u, v)
+
+
+def _bind(po: DynamicPartialOrder, nw: NodeId, nr: NodeId, writes) -> _Edges | None:
+    """Bind read nr to write nw: the edges inserted, or None when the
+    binding is dead. `writes[c]`: the sorted indices of chain c's writes to
+    their variable."""
     succ_w = [INF if s is None else s for s in po.successors(nw)]
     pred_w = [-1 if p is None else p for p in po.predecessors(nw)]
     succ_r = [INF if s is None else s for s in po.successors(nr)]
@@ -173,12 +159,12 @@ def _bind(po: DynamicPartialOrder, nw: NodeId, nr: NodeId, writes) -> _Candidate
         b = bisect_right(ix, pred_r[c])
         if b and c != nw.chain and ix[b - 1] > pred_w[c]:
             earlier.append((NodeId(c, ix[b - 1]), nw))
-    cand = _Candidate(po)
+    inserted: _Edges = []
     if succ_w[nr.chain] > nr.index:
-        cand.force([(nw, nr)])
-    cand.force(later)
-    cand.force(earlier)
-    return cand
+        _force(po, [(nw, nr)], inserted)
+    _force(po, later, inserted)
+    _force(po, earlier, inserted)
+    return inserted
 
 
 def check(events: list[TraceEvent], orders=()) -> CheckResult:
@@ -188,10 +174,18 @@ def check(events: list[TraceEvent], orders=()) -> CheckResult:
     lengths = validate_trace(events, orders)
     po = DynamicPartialOrder(len(lengths), lengths)
 
-    pre = _Candidate(po)
+    pre: _Edges = []  # the up-front orderings' inserted edges
     for t1, j1, t2, j2 in orders:
-        if not pre.order_checked(NodeId(t1, j1), NodeId(t2, j2)):
-            raise ValueError(f"initial orderings are contradictory at {(t1, j1, t2, j2)}")
+        u, v = NodeId(t1, j1), NodeId(t2, j2)
+        if u.chain == v.chain:
+            if u.index < v.index:
+                continue
+        elif po.reachable(u, v):
+            continue
+        elif not po.reachable(v, u):
+            _force(po, [(u, v)], pre)
+            continue
+        raise ValueError(f"initial orderings are contradictory at {(t1, j1, t2, j2)}")
 
     # Per-event data is indexed by position in `events`.
     node = [NodeId(ev.thread, ev.index) for ev in events]
@@ -211,13 +205,13 @@ def check(events: list[TraceEvent], orders=()) -> CheckResult:
         """Bind reads in trace order, depth first, each to its same-value
         writes in trace order; True once a full binding is realizable. An
         explicit stack keeps long traces off the recursion limit."""
-        cands: list[_Candidate] = []  # cands[i] holds the edges binding reads[i]
+        cands: list[_Edges] = []  # cands[i] holds the edges binding reads[i]
         tried = [0]  # tried[i]: how many of reads[i]'s writes were tried
         pruning = False  # set once a full search has failed: then test prefixes
 
         def realizable(n: int) -> bool:
             # The live edges: the up-front orderings' and each binding's.
-            edges = [e for c in (pre, *cands) for e in c.inserted]
+            edges = [e for c in (pre, *cands) for e in c]
             return _realizable(lengths, edges, events, node, reads[:n], binding[:n])
 
         while True:
@@ -235,7 +229,7 @@ def check(events: list[TraceEvent], orders=()) -> CheckResult:
                     binding[i] = w
                     cands.append(cand)
                     if pruning and i + 1 < len(reads) and not realizable(i + 1):
-                        cands.pop().rollback()
+                        _rollback(po, cands.pop())
                         continue
                     tried.append(0)
                     break
@@ -249,7 +243,7 @@ def check(events: list[TraceEvent], orders=()) -> CheckResult:
             tried.pop()
             if not cands:
                 return False
-            cands.pop().rollback()
+            _rollback(po, cands.pop())
 
     if not assign():
         return CheckResult(False, [])

@@ -6,7 +6,7 @@ import pytest
 
 from csst import harness
 from csst.cli import main
-from csst.core import PoError, PoErrorKind, cycle_detected
+from csst.core import PoError, PoErrorKind
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -250,7 +250,7 @@ class _Planted(harness.BACKENDS["csst-inc"]):
     # Refuses, as a cycle, every edge from a higher chain to a later index.
     def _insert_edge(self, u, v):
         if u.chain > v.chain and u.index < v.index:
-            raise cycle_detected(u, v)
+            raise PoError(PoErrorKind.CYCLE_DETECTED, (u, v))
         super()._insert_edge(u, v)
 
 
@@ -273,20 +273,25 @@ def test_fuzz_backend_raising_where_the_oracle_answers_exits_two(monkeypatch, ca
 def test_fuzz_backend_raising_any_exception_exits_two(monkeypatch, capsys, error):
     # A ValueError must not pass for the oracle refusing the log, nor any
     # other exception escape as a traceback, whether a backend raises in an
-    # answer (csst-inc's insert) or in an invariant read (csst-dyn's
-    # direct-minimum check).
+    # answer (csst-inc's insert), in an invariant read (csst-dyn's
+    # direct-minimum check) or in its constructor (csst-inc's, on init).
     def planted(self, *args):
         raise error("planted")
 
-    for backend, method in (("csst-inc", "_insert_edge"), ("csst-dyn", "direct_minimum")):
-        raising = type("Raising", (harness.BACKENDS[backend],), {method: planted})
+    real = dict(harness.BACKENDS)
+    for backend, method, ops in (
+        ("csst-inc", "_insert_edge", ["init", "ins"]),
+        ("csst-dyn", "direct_minimum", ["init", "ins"]),
+        ("csst-inc", "__init__", ["init"]),
+    ):
+        raising = type("Raising", (real[backend],), {method: planted})
         monkeypatch.setitem(harness.BACKENDS, backend, raising)
         rc = main(["fuzz", "--seed", "7", "--runs", "20", "--backends", backend])
-        assert rc == 2, backend
+        assert rc == 2, (backend, method)
         out = capsys.readouterr().out
-        assert f"backend {backend} raised {error.__name__}: planted on `ins " in out
+        assert f"backend {backend} raised {error.__name__}: planted on `{ops[-1]} " in out
         records = harness.parse_oplog(out.split("reproducer op-log:\n", 1)[1])
-        assert [r.op for r in records] == ["init", "ins"]
+        assert [r.op for r in records] == ops
         assert harness._first_failure(records, [backend]) is not None
 
 
@@ -299,13 +304,14 @@ def test_fuzz_refuses_the_oracle_as_a_backend(capsys):
     assert err == f"error: unknown backend 'oracle' (choose from {sorted(harness.BACKENDS)})\n"
 
 
-def test_fuzz_refuses_deletes_on_an_insert_only_backend(capsys):
-    rc = main(["fuzz", "--seed", "1", "--runs", "3", "--backends", "csst-dyn,csst-inc",
+@pytest.mark.parametrize("backend", ["csst-inc", "st", "vc"])
+def test_fuzz_refuses_deletes_on_an_insert_only_backend(backend, capsys):
+    rc = main(["fuzz", "--seed", "1", "--runs", "3", "--backends", f"csst-dyn,{backend}",
                "--deletes", "0.5"])
     assert rc == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "error: backend csst-inc is insert-only; it cannot be fuzzed with deletes\n"
+    assert err == f"error: backend {backend} is insert-only; it cannot be fuzzed with deletes\n"
 
 
 def test_replay_out_of_memory_is_an_input_error(tmp_path, capsys):

@@ -76,12 +76,14 @@ def test_query_contract_is_shared_by_every_order(name):
                 call()
             assert e.value.kind == PoErrorKind.OUT_OF_RANGE
             assert e.value.nodes == (bad,)
+            assert str(e.value) == f"OutOfRange: NodeId(chain={bad.chain}, index={bad.index})"
     for chain in (3, -1):
         for call in (lambda: po.successor(ok, chain), lambda: po.predecessor(ok, chain)):
             with pytest.raises(PoError) as e:
                 call()
             assert e.value.kind == PoErrorKind.OUT_OF_RANGE
             assert e.value.nodes == (N(chain, 0),)
+            assert str(e.value) == f"OutOfRange: NodeId(chain={chain}, index=0) (no such chain)"
     # Same-chain pairs compare indices, whatever the cross edges say.
     assert po.reachable(N(1, 0), N(1, 3))
     assert po.reachable(N(1, 2), N(1, 2))
@@ -97,3 +99,43 @@ def test_query_contract_is_shared_by_every_order(name):
             want = s is not None and s <= v.index
             assert po.reachable(u, v) == want
             assert want == (p is not None and u.index <= p)
+    # Update errors name (u, v), and their messages are pinned byte for byte:
+    # the CLI prints them as they are.
+    def refused(update, u, v, kind):
+        with pytest.raises(PoError) as e:
+            update(u, v)
+        assert e.value.kind == kind
+        assert e.value.nodes == (u, v)
+        return str(e.value)
+
+    for update in (po.insert_edge, po.delete_edge):
+        assert refused(update, N(1, 0), N(1, 2), PoErrorKind.SAME_CHAIN_UPDATE) == (
+            "SameChainUpdate: NodeId(chain=1, index=0), NodeId(chain=1, index=2)"
+        )
+    insert_only = name in ("csst-inc", "st", "vc")
+    if insert_only:
+        po.insert_edge(N(0, 1), N(1, 2))  # a repeat is a no-op
+    else:
+        assert refused(po.insert_edge, N(0, 1), N(1, 2), PoErrorKind.DUPLICATE_EDGE) == (
+            "DuplicateEdge: NodeId(chain=0, index=1), NodeId(chain=1, index=2)"
+        )
+    # (0, 0) reaches (2, 1), so (2, 1) -> (0, 0) closes a cycle
+    if name in ("csst-inc", "st"):
+        assert refused(po.insert_edge, N(2, 1), N(0, 0), PoErrorKind.CYCLE_DETECTED) == (
+            "CycleDetected: NodeId(chain=2, index=1), NodeId(chain=0, index=0)"
+        )
+    else:
+        po.insert_edge(N(2, 1), N(0, 0))
+    if insert_only:
+        # every delete is refused, of a present edge or an absent one
+        for u, v in ((N(0, 1), N(1, 2)), (N(0, 0), N(1, 2))):
+            assert refused(po.delete_edge, u, v, PoErrorKind.DELETE_UNSUPPORTED) == (
+                f"DeleteUnsupported: NodeId(chain=0, index={u.index}), NodeId(chain=1, index=2)"
+            )
+        assert po.reachable(N(0, 1), N(1, 2))
+    else:
+        assert refused(po.delete_edge, N(0, 0), N(1, 2), PoErrorKind.MISSING_EDGE) == (
+            "MissingEdge: NodeId(chain=0, index=0), NodeId(chain=1, index=2)"
+        )
+        po.delete_edge(N(0, 1), N(1, 2))
+        assert not po.reachable(N(0, 1), N(1, 2))

@@ -223,7 +223,8 @@ def test_judge_walks_the_oracle_once_per_query(monkeypatch):
     for visit in (BruteForcePartialOrder._visit_fwd, BruteForcePartialOrder._visit_bwd):
         monkeypatch.setattr(BruteForcePartialOrder, visit.__name__, counted(visit))
     records = parse_oplog(SMALL_LOG)
-    judge = harness._Judge(records[0].args[0], list(records[0].args[1:]), ALL)
+    judge = harness._Judge(ALL)
+    assert judge.step(records[0]) is None
     for rec in records[1:]:
         walks.clear()
         assert judge.step(rec) is None

@@ -17,18 +17,21 @@ reaches u.
              not been expanded at
 
 Each improvement is written in place at once, and each chain records the
-value it was last expanded at, so none is expanded twice at one value (one
-improved in round r before its turn is expanded then and left out of round
-r+1). Values are indices actually reached and only improve, and a probe's
-answer only improves as its argument does. So after round r every chain is
-at least as good as its best witness path of at most r+1 cross-chain hops:
-the chain that path's last hop leaves was at least as good after round r-1,
-and was expanded at that value or a better one in round r or before. A
-shortest witness path alternates chains at most k times, so the closure
-settles within k rounds; max_closure_rounds records the worst query served
-so that bound can be audited. A chain left out of round r+1 and improved
-during it waits for round r+2, so a query's round count can rise while its
-probes fall.
+value it was last expanded at, so none is expanded twice at one value. A
+round expands a queue, in chain order: the chains improved since their last
+expansion, each queued by the first such improvement. One improved in round
+r before its turn is expanded then at its latest value and stays out of
+round r+1. A reachable() query returns at the probe that brings its target
+chain to the target index or below, mid-round. Values are indices actually
+reached and only improve, and a probe's answer only improves as its argument
+does. So after round r every chain is at least as good as its best witness
+path of at most r+1 cross-chain hops: the chain that path's last hop leaves
+was at least as good after round r-1, and was expanded at that value or a
+better one in round r or before. A shortest witness path alternates chains
+at most k times, so the closure settles within k rounds; max_closure_rounds
+records the worst query served so that bound can be audited. A chain left
+out of round r+1 and improved during it waits for round r+2, so a query's
+round count can rise while its probes fall.
 
 Settled closures are memoised between edge changes. A query's round 0 is one
 row per direction: min_suffix(j1) of each array leaving chain t1 (forward),
@@ -36,17 +39,19 @@ argleq(ju) of each array entering chain tu (backward), with the source
 chain's own slot masked to None. On every other chain the least fixpoint
 depends on the source index only through that row, even when the order has
 cycles: a suffix minimum is constant between two indices that give equal
-rows, so a path back into the source chain between them improves nothing.
-So each direction keeps a dict from the masked row (the mask's position
-names the source chain) to the settled closure tuple. A hit answers without
-running a round: last_closure_rounds reads 0 and closure_memo_hits counts
-one. A miss runs the fixpoint and stores its result only when it settled; a
-reachable() that stopped early stores nothing. Both dicts are cleared
-exactly where an array entry changes (an insert below the current direct
-minimum, a delete of it), never on grow() or on edges that leave the
-entries alone. Rows only change where an entry sits, so a chain holds at
-most (its distinct source indices + 1) forward keys and (its distinct
-target indices + 1) backward keys: memory is bounded by the live edges.
+rows, so a path back into the source chain between them improves nothing. So
+each direction keeps a dict from the masked row (the mask's position names
+the source chain) to the settled closure tuple. A dict is looked up only
+when it is non-empty: under churn every entry change empties both before the
+next query. A hit answers without running a round: last_closure_rounds reads
+0 and closure_memo_hits counts one. A miss runs the fixpoint and stores its
+result only when it settled; a reachable() that stopped early stores
+nothing. Both dicts are cleared exactly where an array entry changes (an
+insert below the current direct minimum, a delete of it), never on grow() or
+on edges that leave the entries alone. Rows only change where an entry sits,
+so a chain holds at most (its distinct source indices + 1) forward keys and
+(its distinct target indices + 1) backward keys: memory is bounded by the
+live edges.
 
 Queries share per-instance scratch buffers: callers need exclusive access
 (no concurrent queries, even read-only ones).
@@ -138,11 +143,11 @@ class DynamicPartialOrder(ChainPairOrder):
         index that reaches it, -1 when none). The source chain's slot holds
         no answer.
 
-        With tt >= 0 (forward only), stops as soon as chain tt is reached at
-        an index <= tj (closure values only ever improve, so an early hit is
-        final) and returns the scratch buffer, settled at tt only. Otherwise
-        returns the settled closure, from the memo when round 0 matches a
-        stored key.
+        With tt >= 0 (forward only), stops at the probe that first brings
+        chain tt to an index <= tj (closure values only ever improve, so an
+        early hit is final) and returns the scratch buffer, settled at tt
+        only. Otherwise returns the settled closure, from the memo when it
+        holds a key equal to round 0's row (looked up only when non-empty).
         """
         clo = self._clo
         if fwd:
@@ -160,37 +165,52 @@ class DynamicPartialOrder(ChainPairOrder):
                 clo[t] = -1 if r is None else r
         clo[tu] = None
         key = tuple(clo)
-        settled = memo.get(key)
-        if settled is not None:
-            self.closure_memo_hits += 1
-            self.last_closure_rounds = 0
-            return settled
+        if memo:
+            settled = memo.get(key)
+            if settled is not None:
+                self.closure_memo_hits += 1
+                self.last_closure_rounds = 0
+                return settled
         clo[tu] = ju
         # done[t]: the value chain t was last expanded at (none, inf or -1,
         # before its first expansion); round 0 expanded the source chain. A
-        # chain enters a round only at a new value.
+        # chain is queued for a round only at a new value: the first
+        # improvement after its last expansion queues it, and one improved
+        # again before its turn is expanded at its latest value.
         done = [INF if fwd else -1] * self.k
         done[tu] = ju
-        rounds = 0
         # zip keeps clo and done out of the comprehension's scope, so they
         # stay fast locals rather than cells.
-        while changed := [t for t, c, d in zip(range(self.k), clo, done) if c != d]:
+        queue = [t for t, c, d in zip(range(self.k), clo, done) if c != d]
+        rounds = 0
+        while queue:
             rounds += 1
-            for t2 in changed:
-                c2 = done[t2] = clo[t2]
-                for t, a in links[t2]:
-                    if fwd:
+            nxt = []
+            if fwd:
+                for t2 in queue:
+                    c2 = done[t2] = clo[t2]
+                    for t, a in links[t2]:
                         v = a.min_suffix(c2)
-                        if v >= clo[t]:
-                            continue
-                    else:
+                        if v < clo[t]:
+                            if clo[t] == done[t]:
+                                nxt.append(t)
+                            clo[t] = v
+                            if t == tt and v <= tj:
+                                self._note_rounds(rounds)
+                                return clo
+            else:
+                for t2 in queue:
+                    c2 = done[t2] = clo[t2]
+                    for t, a in links[t2]:
                         v = a.argleq(c2)
-                        if v is None or v <= clo[t]:
-                            continue
-                    clo[t] = v
-            if tt >= 0 and clo[tt] <= tj:
-                self._note_rounds(rounds)
-                return clo
+                        if v is not None and v > clo[t]:
+                            if clo[t] == done[t]:
+                                nxt.append(t)
+                            clo[t] = v
+            # Any order settles the same closure; chain order keeps the
+            # expansion sequence, and so round counts and probes, fixed.
+            nxt.sort()
+            queue = nxt
         self._note_rounds(rounds)
         clo[tu] = None
         settled = memo[key] = tuple(clo)

@@ -13,8 +13,12 @@ inserts w -> r, then forces, for every other write o to the same variable:
     w reaches o  =>  r comes before o   (insert r -> o)
     o reaches r  =>  o comes before w   (insert o -> w)
 
-A candidate reads four rows, all before it inserts anything: the
-`successors` and `predecessors` of w and of r. They decide every edge:
+A candidate reads four rows, all before it inserts anything: the successor
+and predecessor rows of w and of r, taken straight from the order's closure
+in its own encoding (inf for a chain not reached forward, -1 for one with
+nothing reaching back, and the node's own index in its own slot). Every
+node is an event of the validated trace, so no row needs a range check.
+The rows decide every edge:
 
 - w -> r closes a cycle exactly when r reaches w, and is implied already
   when w reaches r.
@@ -73,7 +77,6 @@ from operator import le
 
 from .core import NodeId
 from .dynamic import DynamicPartialOrder
-from .sst import INF
 
 
 @dataclass(frozen=True)
@@ -136,14 +139,23 @@ def _rollback(po: DynamicPartialOrder, inserted: _Edges) -> None:
         po.delete_edge(u, v)
 
 
+def _row(po: DynamicPartialOrder, fwd: bool, u: NodeId) -> list[int]:
+    """u's successor (fwd) or predecessor row in the closure's encoding: inf
+    for a chain u reaches nothing on, -1 for one with nothing reaching u,
+    and u's own index in its own slot. u comes from a validated trace."""
+    row = list(po._closure(fwd, u.chain, u.index))
+    row[u.chain] = u.index
+    return row
+
+
 def _bind(po: DynamicPartialOrder, nw: NodeId, nr: NodeId, writes) -> _Edges | None:
     """Bind read nr to write nw: the edges inserted, or None when the
     binding is dead. `writes[c]`: the sorted indices of chain c's writes to
     their variable."""
-    succ_w = [INF if s is None else s for s in po.successors(nw)]
-    pred_w = [-1 if p is None else p for p in po.predecessors(nw)]
-    succ_r = [INF if s is None else s for s in po.successors(nr)]
-    pred_r = [-1 if p is None else p for p in po.predecessors(nr)]
+    succ_w = _row(po, True, nw)
+    pred_w = _row(po, False, nw)
+    succ_r = _row(po, True, nr)
+    pred_r = _row(po, False, nr)
     if succ_r[nw.chain] <= nw.index:  # r reaches w
         return None
     later, earlier = [], []  # the forced r -> o and o -> w

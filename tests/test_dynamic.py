@@ -47,6 +47,33 @@ def test_multi_hop_successor_and_delete():
     assert po.reachable(N(0, 0), N(3, 2))
 
 
+def test_reachable_stops_at_the_probe_that_reaches_its_target(monkeypatch):
+    # Round 0 from (0,0) reaches chains 1, 2 and 3, with chain 2 only at
+    # index 2, so round 1 queues all three. Expanding chain 1, the first of
+    # them, its second probe (1,0) -> (2,0) decides reachable((0,0), (2,0)):
+    # the query ends there, not after expanding chains 2 and 3 as well.
+    po = DynamicPartialOrder(4, [3, 3, 3, 3])
+    for u, v in [
+        (N(0, 0), N(1, 0)),
+        (N(0, 0), N(2, 2)),
+        (N(0, 0), N(3, 0)),
+        (N(1, 0), N(2, 0)),
+    ]:
+        po.insert_edge(u, v)
+    probes = []
+
+    def probe(self, j, _fn=SuffixMinArray.min_suffix):
+        probes.append(j)
+        return _fn(self, j)
+
+    monkeypatch.setattr(SuffixMinArray, "min_suffix", probe)
+    assert po.reachable(N(0, 0), N(2, 0))
+    # Three probes for round 0's row, then two of chain 1's three.
+    assert len(probes) == 5
+    assert po.last_closure_rounds == 1
+    assert not po._fwd_memo  # a query that stopped early stores nothing
+
+
 def test_direct_minima_track_the_edge_multiset():
     po = DynamicPartialOrder(2, [4, 4])
     po.insert_edge(N(0, 1), N(1, 3))

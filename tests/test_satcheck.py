@@ -269,19 +269,28 @@ def _seed3_pool():
 
 
 def test_queries_per_candidate_do_not_grow_with_the_trace(monkeypatch):
-    # A candidate reads four rows, and takes a `reachable` only for the
-    # second and later forced edges of a kind (r -> o, o -> w), each on its
-    # own chain: at most 4 row queries and 2(k - 2) `reachable` calls,
-    # whether the trace has 80 events or 800.
+    # A candidate reads four rows straight from the closure, and takes a
+    # `reachable` only for the second and later forced edges of a kind
+    # (r -> o, o -> w), each on its own chain: two forward rows, two
+    # backward rows and at most 2(k - 2) `reachable` calls, whether the
+    # trace has 80 events or 800.
     import csst.satcheck as satcheck
 
     log = [Counter()]  # one Counter per candidate, after one for the orderings
-    for name in ("successors", "predecessors", "reachable"):
-        def query(po, *args, _name=name, _real=getattr(DynamicPartialOrder, name)):
-            log[-1][_name] += 1
-            return _real(po, *args)
+    closure = DynamicPartialOrder._closure
+    reachable = DynamicPartialOrder.reachable
 
-        monkeypatch.setattr(DynamicPartialOrder, name, query)
+    def row_spy(po, fwd, tu, ju, tt=-1, tj=-1):
+        if tt < 0:  # a whole row, not a `reachable` stopping at its target
+            log[-1]["forward rows" if fwd else "backward rows"] += 1
+        return closure(po, fwd, tu, ju, tt, tj)
+
+    def reach_spy(po, u, v):
+        log[-1]["reachable"] += 1
+        return reachable(po, u, v)
+
+    monkeypatch.setattr(DynamicPartialOrder, "_closure", row_spy)
+    monkeypatch.setattr(DynamicPartialOrder, "reachable", reach_spy)
     bind = satcheck._bind
 
     def spy(*args):
@@ -298,7 +307,7 @@ def test_queries_per_candidate_do_not_grow_with_the_trace(monkeypatch):
         # Values are fresh, so each read has one candidate, and it lives.
         assert len(log) == 1 + len(truth)
         for c in log[1:]:
-            assert c["successors"] == c["predecessors"] == 2
+            assert c["forward rows"] == c["backward rows"] == 2
             assert c["reachable"] <= 2 * (k - 2)
         assert sum(c["reachable"] for c in log[1:]) > 0
 

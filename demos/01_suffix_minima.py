@@ -1,7 +1,8 @@
 """Walk through the sparse suffix-minimum array, the structure everything
 else is built on. It answers two questions about a sparse integer array:
-the minimum of any suffix, and the last position holding a value <= v,
-while allocating nodes only where entries actually live."""
+the minimum of any suffix (inf when it is empty), and the last position
+holding a value <= v (-1 when there is none), while allocating nodes only
+where entries actually live."""
 
 from csst import INF, SuffixMinArray
 

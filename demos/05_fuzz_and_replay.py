@@ -3,7 +3,7 @@ backend against the brute-force oracle; its op log replays byte-identically,
 which is what makes failures shareable. A deliberately broken backend shows
 the reproducer shrinking down to the essence."""
 
-from csst import harness
+from csst import INF, harness
 from csst.harness import BACKENDS, DifferentialRun, FuzzOptions, parse_oplog, replay, shrink_oplog
 
 
@@ -25,7 +25,7 @@ def main():
     class OffByOne(BACKENDS["graph"]):
         def _successor(self, u, t2):
             r = super()._successor(u, t2)
-            return None if r is None else r + 1
+            return r if r == INF else r + 1
 
     harness.BACKENDS["graph"] = OffByOne
     try:

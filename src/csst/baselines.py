@@ -115,23 +115,17 @@ class VectorClockPO(PartialOrderBase):
         t1, j1 = u
         rows = self._rows[t2]
         if not rows or rows[-1][t1] < j1:
-            return None
+            return INF
         return bisect_left(rows, j1, key=lambda row: row[t1])
 
     def _predecessor(self, u: NodeId, t1: int):
-        r = self._entry(u.chain, u.index, t1)
-        return None if r < 0 else r
+        return self._entry(u.chain, u.index, t1)
 
     def _predecessors(self, u: NodeId):
         # u's clock row, as _entry reads it entry by entry.
         t, i = u
         rows = self._rows[t]
-        if rows:
-            row = [None if r < 0 else r for r in rows[min(i, len(rows) - 1)]]
-        else:
-            row = [None] * self.k
-        row[t] = i
-        return row
+        return rows[min(i, len(rows) - 1)] if rows else [-1] * self.k
 
     # -- introspection -----------------------------------------------------------
 
@@ -233,32 +227,26 @@ class GraphPO(PartialOrderBase):
         return self._flood_fwd(u.chain, u.index, v.chain, v.index)
 
     def _successor(self, u: NodeId, t2: int):
-        r = self._flood_fwd(u.chain, u.index)[t2]
-        return None if r == INF else r
+        return self._flood_fwd(u.chain, u.index)[t2]
 
     def _predecessor(self, u: NodeId, t1: int):
-        r = self._flood_bwd(u.chain, u.index)[t1]
-        return None if r < 0 else r
+        return self._flood_bwd(u.chain, u.index)[t1]
 
-    # On a cyclic order a flood can cover u's own chain past u; the row's
-    # own slot is u.index all the same, as successor() and predecessor() say.
     def _successors(self, u: NodeId):
-        row = [None if r == INF else r for r in self._flood_fwd(u.chain, u.index)]
-        row[u.chain] = u.index
-        return row
+        return self._flood_fwd(u.chain, u.index)
 
     def _predecessors(self, u: NodeId):
-        row = [None if r < 0 else r for r in self._flood_bwd(u.chain, u.index)]
-        row[u.chain] = u.index
-        return row
+        return self._flood_bwd(u.chain, u.index)
 
 
 class DenseMinArray:
     """Suffix minima on a fully materialized heap-layout segment tree.
 
     Speaks SuffixMinArray's interface (update, min_suffix, argleq, grow,
-    density, height, node_count), but every index of the power-of-two span
-    owns a leaf and every interior node exists from construction on.
+    density, height, node_count) and its encoding (min_suffix gives inf on
+    an empty suffix, argleq -1 when no entry qualifies), but every index of
+    the power-of-two span owns a leaf and every interior node exists from
+    construction on.
     tree[1] is the root; node n has children 2n and 2n + 1; leaf i sits at
     span + i. Indices are not range-checked: the order validates them.
     """
@@ -306,11 +294,11 @@ class DenseMinArray:
             hi >>= 1
         return res
 
-    def argleq(self, v) -> int | None:
-        """Largest index whose entry is <= v; None when no entry qualifies."""
+    def argleq(self, v) -> int:
+        """Largest index whose entry is <= v; -1 when no entry qualifies."""
         tree = self._tree
         if tree[1] > v:
-            return None
+            return -1
         span = self._span
         n = 1
         while n < span:

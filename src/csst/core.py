@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 from typing import NamedTuple
 
-from .sst import SuffixMinArray
+from .sst import INF, SuffixMinArray
 
 
 class NodeId(NamedTuple):
@@ -65,6 +65,13 @@ class PartialOrderBase:
     The row queries _successors and _predecessors default to one _successor
     or _predecessor per other chain; a backend that computes the whole row
     anyway overrides them.
+
+    Hooks answer in one encoding, the identity of the query's fold on an
+    empty set: _successor and _successors give inf where u reaches nothing,
+    _predecessor and _predecessors give -1 where nothing reaches u. A row
+    hook's own slot (u's chain) holds a number of no meaning, and the caller
+    must not mutate the row it gets. The public methods alone turn inf and
+    -1 into None and write u.index into a row's own slot.
     """
 
     def __init__(self, k: int, lengths: list[int] | tuple[int, ...]):
@@ -114,7 +121,8 @@ class PartialOrderBase:
         self._check_chain(t2)
         if t2 == u.chain:
             return u.index
-        return self._successor(u, t2)
+        r = self._successor(u, t2)
+        return None if r == INF else r
 
     def predecessor(self, u: NodeId, t1: int) -> int | None:
         """Largest index j with (t1, j) reaching u, or None."""
@@ -122,19 +130,24 @@ class PartialOrderBase:
         self._check_chain(t1)
         if t1 == u.chain:
             return u.index
-        return self._predecessor(u, t1)
+        r = self._predecessor(u, t1)
+        return None if r < 0 else r
 
     def successors(self, u: NodeId) -> list[int | None]:
         """successor(u, t) for every chain t, as one k-list: u's own chain
         holds u.index, and a chain u reaches nothing on holds None."""
         self._check_node(u)
-        return self._successors(u)
+        row = [None if r == INF else r for r in self._successors(u)]
+        row[u.chain] = u.index
+        return row
 
     def predecessors(self, u: NodeId) -> list[int | None]:
         """predecessor(u, t) for every chain t, as one k-list: u's own chain
         holds u.index, and a chain with nothing reaching u holds None."""
         self._check_node(u)
-        return self._predecessors(u)
+        row = [None if r < 0 else r for r in self._predecessors(u)]
+        row[u.chain] = u.index
+        return row
 
     def reachable(self, u: NodeId, v: NodeId) -> bool:
         """True iff u precedes-or-equals v in the current order."""
@@ -162,17 +175,17 @@ class PartialOrderBase:
     def _delete_edge(self, u: NodeId, v: NodeId) -> None:
         raise PoError(PoErrorKind.DELETE_UNSUPPORTED, (u, v))
 
-    def _successor(self, u: NodeId, t2: int) -> int | None:
+    def _successor(self, u: NodeId, t2: int):
         raise NotImplementedError
 
-    def _predecessor(self, u: NodeId, t1: int) -> int | None:
+    def _predecessor(self, u: NodeId, t1: int):
         raise NotImplementedError
 
-    def _successors(self, u: NodeId) -> list[int | None]:
+    def _successors(self, u: NodeId):
         # Default: one _successor per other chain.
         return [u.index if t == u.chain else self._successor(u, t) for t in range(self.k)]
 
-    def _predecessors(self, u: NodeId) -> list[int | None]:
+    def _predecessors(self, u: NodeId):
         return [u.index if t == u.chain else self._predecessor(u, t) for t in range(self.k)]
 
     def _reachable(self, u: NodeId, v: NodeId) -> bool:

@@ -161,8 +161,7 @@ class DynamicPartialOrder(ChainPairOrder):
         else:
             links, memo = self._in, self._bwd_memo
             for t, a in links[tu]:
-                r = a.argleq(ju)
-                clo[t] = -1 if r is None else r
+                clo[t] = a.argleq(ju)
         clo[tu] = None
         key = tuple(clo)
         if memo:
@@ -203,7 +202,7 @@ class DynamicPartialOrder(ChainPairOrder):
                     c2 = done[t2] = clo[t2]
                     for t, a in links[t2]:
                         v = a.argleq(c2)
-                        if v is not None and v > clo[t]:
+                        if v > clo[t]:
                             if clo[t] == done[t]:
                                 nxt.append(t)
                             clo[t] = v
@@ -212,29 +211,22 @@ class DynamicPartialOrder(ChainPairOrder):
             nxt.sort()
             queue = nxt
         self._note_rounds(rounds)
-        clo[tu] = None
         settled = memo[key] = tuple(clo)
         return settled
 
     # -- queries -----------------------------------------------------------------
 
     def _successor(self, u: NodeId, t2: int):
-        r = self._closure(True, u.chain, u.index)[t2]
-        return None if r == INF else r
+        return self._closure(True, u.chain, u.index)[t2]
 
     def _predecessor(self, u: NodeId, t1: int):
-        r = self._closure(False, u.chain, u.index)[t1]
-        return None if r < 0 else r
+        return self._closure(False, u.chain, u.index)[t1]
 
     def _successors(self, u: NodeId):
-        row = [None if r == INF else r for r in self._closure(True, u.chain, u.index)]
-        row[u.chain] = u.index
-        return row
+        return self._closure(True, u.chain, u.index)
 
     def _predecessors(self, u: NodeId):
-        row = [None if r == -1 else r for r in self._closure(False, u.chain, u.index)]
-        row[u.chain] = u.index
-        return row
+        return self._closure(False, u.chain, u.index)
 
     def _reachable(self, u: NodeId, v: NodeId) -> bool:
         return self._closure(True, u.chain, u.index, v.chain, v.index)[v.chain] <= v.index

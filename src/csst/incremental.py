@@ -87,7 +87,7 @@ class IncrementalPartialOrder(ChainPairOrder):
                 continue
             row = ta * k
             p = arr[row + t1].argleq(j1)
-            if p is None:
+            if p < 0:
                 continue
             a = arr[row + t2]
             if a.min_suffix(p) <= j2:
@@ -105,8 +105,7 @@ class IncrementalPartialOrder(ChainPairOrder):
         return self.arrays[u.chain * self.k + v.chain].min_suffix(u.index) <= v.index
 
     def _successor(self, u: NodeId, t2: int):
-        r = self.arrays[u.chain * self.k + t2].min_suffix(u.index)
-        return None if r == INF else r
+        return self.arrays[u.chain * self.k + t2].min_suffix(u.index)
 
     def _predecessor(self, u: NodeId, t1: int):
         return self.arrays[t1 * self.k + u.chain].argleq(u.index)

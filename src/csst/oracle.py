@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import deque
 
 from .core import NodeId, PartialOrderBase, PoError, PoErrorKind
+from .sst import INF
 
 
 class BruteForcePartialOrder(PartialOrderBase):
@@ -79,19 +80,17 @@ class BruteForcePartialOrder(PartialOrderBase):
         return target in self._visit_fwd((u.chain, u.index), target)
 
     def _successors(self, u: NodeId):
-        row = [None] * self.k
+        row = [INF] * self.k
         for t, i in self._visit_fwd((u.chain, u.index)):
-            if row[t] is None or i < row[t]:
+            if i < row[t]:
                 row[t] = i
-        row[u.chain] = u.index  # a flood on a cycle reaches below u
         return row
 
     def _predecessors(self, u: NodeId):
-        row = [None] * self.k
+        row = [-1] * self.k
         for t, i in self._visit_bwd((u.chain, u.index)):
-            if row[t] is None or i > row[t]:
+            if i > row[t]:
                 row[t] = i
-        row[u.chain] = u.index
         return row
 
     def _successor(self, u: NodeId, t2: int):

@@ -15,9 +15,10 @@ inserts w -> r, then forces, for every other write o to the same variable:
 
 A candidate reads four rows, all before it inserts anything: the successor
 and predecessor rows of w and of r, taken straight from the order's closure
-in its own encoding (inf for a chain not reached forward, -1 for one with
-nothing reaching back, and the node's own index in its own slot). Every
-node is an event of the validated trace, so no row needs a range check.
+in the order hooks' encoding (inf for a chain not reached forward, -1 for
+one with nothing reaching back), with the node's own index in its own
+slot. Every node is an event of the validated trace, so no row needs a
+range check.
 The rows decide every edge:
 
 - w -> r closes a cycle exactly when r reaches w, and is implied already
@@ -140,9 +141,9 @@ def _rollback(po: DynamicPartialOrder, inserted: _Edges) -> None:
 
 
 def _row(po: DynamicPartialOrder, fwd: bool, u: NodeId) -> list[int]:
-    """u's successor (fwd) or predecessor row in the closure's encoding: inf
-    for a chain u reaches nothing on, -1 for one with nothing reaching u,
-    and u's own index in its own slot. u comes from a validated trace."""
+    """u's successor (fwd) or predecessor row in the order hooks' encoding
+    (inf for a chain u reaches nothing on, -1 for one with nothing reaching
+    u), plus u's own index in its own slot. u comes from a validated trace."""
     row = list(po._closure(fwd, u.chain, u.index))
     row[u.chain] = u.index
     return row

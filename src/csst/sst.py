@@ -4,12 +4,14 @@ Maintains A: [0, capacity) -> {0, 1, 2, ...} u {inf} under point updates and
 two queries:
 
     min_suffix(i) = min A[i:]
-    argleq(v)     = max { i : A[i] <= v }   (None when no entry qualifies)
+    argleq(v)     = max { i : A[i] <= v }   (-1 when no entry qualifies)
 
-Entries with value inf are absent. The tree is lazy and path-compressed:
-nodes exist only where entries do, and single-child chains are collapsed.
-There is one node kind, and each node owns exactly one live entry, so
-node_count() == density() and an empty array owns zero nodes.
+Entries with value inf are absent. A query over no entry answers with the
+identity of its fold: inf for a minimum, -1 for a largest index. The tree
+is lazy and path-compressed: nodes exist only where entries do, and
+single-child chains are collapsed. There is one node kind, and each node
+owns exactly one live entry, so node_count() == density() and an empty
+array owns zero nodes.
 
 Every node covers an aligned power-of-two index range and carries the pair
 (min, pos) where min is the smallest entry value stored in its subtree and
@@ -111,8 +113,8 @@ class SuffixMinArray:
                 nd = nd.right
         return res
 
-    def argleq(self, v) -> int | None:
-        """Largest index whose entry is <= v; None when no entry qualifies."""
+    def argleq(self, v) -> int:
+        """Largest index whose entry is <= v; -1 when no entry qualifies."""
         best = -1
         nd = self._root
         while nd is not None and nd.min <= v:
@@ -129,7 +131,7 @@ class SuffixMinArray:
                 nd = r
             else:
                 nd = l
-        return None if best < 0 else best
+        return best
 
     def density(self) -> int:
         """Number of live (non-inf) entries."""

@@ -34,7 +34,7 @@ class RefArray:
 
     def argleq(self, v):
         idxs = [j for j, u in self.data.items() if u <= v]
-        return max(idxs) if idxs else None
+        return max(idxs) if idxs else -1
 
     def density(self) -> int:
         return len(self.data)
@@ -72,8 +72,7 @@ class RefFold:
             if t == t1:
                 preds[t] = j1
             else:
-                p = arr[t * k + t1].argleq(j1)
-                preds[t] = -1 if p is None else p
+                preds[t] = arr[t * k + t1].argleq(j1)
             if t == t2:
                 succs[t] = j2
             else:

@@ -17,6 +17,7 @@ from csst.harness import (
     shrink_oplog,
 )
 from csst.oracle import BruteForcePartialOrder
+from csst.sst import INF
 
 ALL = ["csst-dyn", "csst-inc", "vc", "graph", "st"]
 
@@ -149,15 +150,15 @@ class _BrokenGraph(harness.BACKENDS["graph"]):
     # answers successor queries off by one when an answer exists
     def _successor(self, u, t2):
         r = super()._successor(u, t2)
-        return None if r is None else r + 1
+        return r if r == INF else r + 1
 
 
 class _BrokenGraphRows(harness.BACKENDS["graph"]):
     # answers every predecessor single entry right, but predecessors rows
-    # off by one off u's own chain when an entry exists
+    # off by one off u's own chain when an entry exists (the base writes
+    # the own slot)
     def _predecessors(self, u):
-        row = super()._predecessors(u)
-        return [p if p is None or t == u.chain else p + 1 for t, p in enumerate(row)]
+        return [p if p < 0 else p + 1 for p in super()._predecessors(u)]
 
 
 def test_fuzz_catches_a_planted_bug_and_shrinks(monkeypatch):

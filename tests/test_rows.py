@@ -6,7 +6,7 @@ import pytest
 
 from csst import DynamicPartialOrder, NodeId
 from csst.harness import BACKENDS, make_backend
-from csst.sst import SuffixMinArray
+from csst.sst import INF, SuffixMinArray
 from helpers import RefOrder
 
 N = NodeId
@@ -76,6 +76,32 @@ def test_rows_match_the_reference_entry_by_entry(name, cyclic):
     assert saw_none > 100
     # The cyclic runs reach u's own chain below u, which the row must hide.
     assert (saw_below > 0) == cyclic
+
+
+@pytest.mark.parametrize("name", sorted(BACKENDS) + ["oracle"])
+def test_hooks_answer_nothing_with_inf_and_minus_one(name):
+    # One edge (0,1) -> (1,1) over chains of 3, 3 and 2 events, then chain 2
+    # grows. Where there is no answer a hook gives inf forward and -1
+    # backward, never None; only the public methods turn those into None.
+    po = make_backend(name, 3, [3, 3, 2])
+    po.insert_edge(N(0, 1), N(1, 1))
+    po.grow(2, 4)
+    assert po._successor(N(0, 0), 1) == 1
+    assert po._successor(N(0, 2), 1) == INF
+    assert po._predecessor(N(1, 2), 0) == 1
+    assert po._predecessor(N(1, 0), 0) == -1
+    assert list(po._successors(N(0, 2)))[1:] == [INF, INF]
+    assert list(po._predecessors(N(1, 0)))[0::2] == [-1, -1]
+    for t, n in enumerate(po.lengths):
+        for i in range(n):
+            u = N(t, i)
+            others = [c for c in range(3) if c != t]
+            answers = [po._successor(u, c) for c in others]
+            answers += [po._predecessor(u, c) for c in others]
+            answers += [*po._successors(u), *po._predecessors(u)]
+            assert None not in answers, u
+    assert po.successor(N(0, 2), 1) is None
+    assert po.predecessors(N(1, 0)) == [None, 0, None]
 
 
 def _count_probes(monkeypatch):

@@ -20,7 +20,7 @@ def test_small_dense_array_queries():
     assert a.argleq(7) == 0
     assert a.argleq(9) == 2
     assert a.argleq(11) == 3
-    assert a.argleq(5) is None
+    assert a.argleq(5) == -1
     assert a.density() == 4
 
 
@@ -104,7 +104,7 @@ def test_delete_everything_leaves_empty_tree():
     assert a.node_count() == 0
     assert a.density() == 0
     assert a.min_suffix(0) == INF
-    assert a.argleq(10 ** 9) is None
+    assert a.argleq(10 ** 9) == -1
 
 
 def test_update_overwrites_in_place():
@@ -183,7 +183,7 @@ def test_bad_arguments_rejected():
 def test_empty_and_capacity_zero():
     a = SuffixMinArray(0)
     assert a.density() == 0
-    assert a.argleq(5) is None
+    assert a.argleq(5) == -1
     b = SuffixMinArray(5)
     assert b.min_suffix(0) == INF
     assert b.min_suffix(4) == INF

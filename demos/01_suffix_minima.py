@@ -48,9 +48,15 @@ def main():
     arr.update(22, INF)
     print(shape(arr))
 
-    print("\ngrowing capacity keeps every entry:")
+    print("\ngrowing capacity changes no node:")
+    before = shape(arr)
     arr.grow(256)
-    print(f"  capacity {arr.capacity}, entries {sorted(arr.entries())}")
+    print(f"  capacity {arr.capacity}, same shape: {shape(arr) == before}")
+    print(shape(arr))
+
+    print("\nan entry past the root's range glues the old root under a wider one:")
+    arr.update(200, 5)
+    print(shape(arr))
 
 
 if __name__ == "__main__":

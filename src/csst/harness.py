@@ -318,7 +318,10 @@ class DifferentialRun:
     """One seeded workload raced across implementations vs the oracle.
 
     Records every executed op so a failure can be replayed and shrunk.
-    `failure` stays None when all answers and invariants agree.
+    `failure` stays None when all answers and invariants agree. Whether an
+    insert draw would close a cycle is asked of a private GraphPO, which
+    replays each update record once the judge has passed it; the judge's
+    oracle only judges. So a GraphPO reach bug would also change the draws.
     """
 
     def __init__(
@@ -356,11 +359,12 @@ class DifferentialRun:
         opts = self.opts
         rng = self.rng
         k = self.k
-        lengths = self.lengths
         judge = _Judge(self.names)
         self.failure = judge.step(self.ops[0])
         if self.failure:
             return
+        draw = GraphPO(k, self.lengths)
+        lengths = draw.lengths  # current lengths: draw replays each grow
         live: list[tuple[int, int, int, int]] = []
         edge_set: set[tuple[int, int, int, int]] = set()
         upd_left, q_left = self._n_upd, self._n_q
@@ -385,7 +389,7 @@ class DifferentialRun:
                         j1 = rng.randrange(lengths[t1])
                         j2 = rng.randrange(lengths[t2])
                         e = (t1, j1, t2, j2)
-                        if e in edge_set or judge.oracle.reachable(NodeId(t2, j2), NodeId(t1, j1)):
+                        if e in edge_set or draw.reachable(NodeId(t2, j2), NodeId(t1, j1)):
                             continue
                         live.append(e)
                         edge_set.add(e)
@@ -407,8 +411,8 @@ class DifferentialRun:
             self.failure = judge.step(rec)
             if self.failure:
                 break
-            if rec.op == "grow":
-                lengths[rec.args[0]] = rec.args[1]
+            if rec.op in _UPDATES:
+                _play(draw, rec)
         self.observed_rounds = judge.rounds
 
     def oplog_text(self) -> str:

@@ -19,7 +19,9 @@ pos the largest index attaining it; that pair is the entry the node owns,
 so a node's pair never duplicates an ancestor's. A node stores its range
 as (mid, end): mid is the last index of its left half (mid == end for a
 one-index node), and start is derived from the two. Every descent reads
-mid as stored; none recomputes the split. Both queries descend one
+mid as stored; none recomputes the split. No range is fixed in advance:
+the root is the lowest aligned range over the entries it has held, so
+grow only raises capacity and changes no node. Both queries descend one
 root-to-leaf path and can stop early as soon as the carried pair already
 decides the answer, which is what makes point operations O(min(log n, d))
 for d live entries.
@@ -33,13 +35,6 @@ from __future__ import annotations
 import math
 
 INF = math.inf
-
-
-def _pow2_at_least(n: int) -> int:
-    p = 1
-    while p < n:
-        p *= 2
-    return p
 
 
 class SstNode:
@@ -79,14 +74,13 @@ class SuffixMinArray:
 
     # _top is max(capacity, 1), min_suffix's exclusive index bound: index 0
     # stays valid on a capacity-0 array (its empty suffix has minimum inf).
-    __slots__ = ("capacity", "_top", "_span", "_root", "_density")
+    __slots__ = ("capacity", "_top", "_root", "_density")
 
     def __init__(self, capacity: int):
         if capacity < 0:
             raise ValueError("capacity must be >= 0")
         self.capacity = capacity
         self._top = max(capacity, 1)
-        self._span = _pow2_at_least(max(capacity, 1))
         self._root: SstNode | None = None
         self._density = 0
 
@@ -209,66 +203,47 @@ class SuffixMinArray:
         if v == INF:
             return
         self._density += 1
-        if self._root is None:
-            self._root = SstNode((self._span - 1) // 2, self._span - 1, v, i)
-        else:
-            self._insert(v, i)
+        self._insert(v, i)
 
     def grow(self, new_capacity: int) -> None:
-        """Raise capacity; existing entries keep their indices and values."""
+        """Raise capacity; no node changes, so entries keep their indices,
+        values and places."""
         if new_capacity < self.capacity:
             raise ValueError("grow cannot shrink")
-        if new_capacity <= self._span:
-            self.capacity = new_capacity
-            self._top = max(new_capacity, 1)
-            return
-        span = self._span
-        root = self._root
-        while span < new_capacity:
-            if root is not None:
-                # The new root takes over the old root's pair, and the old
-                # root refills from below (or goes, if that emptied it).
-                new_root = SstNode(span - 1, span * 2 - 1, root.min, root.pos)
-                if not self._refill(root):
-                    new_root.left = root
-                root = new_root
-            span *= 2
-        self._root = root
-        self._span = span
         self.capacity = new_capacity
-        self._top = new_capacity
+        self._top = max(new_capacity, 1)
 
     # -- internals -------------------------------------------------------------
 
-    def _insert(self, v, i: int) -> None:
-        """Place a fresh entry; the root exists and covers the whole span."""
+    def _insert(self, val, pos: int) -> None:
+        """Place a fresh entry at an index that holds none. Every link, the
+        root included, follows one rule: a link with no node takes a
+        one-index node; a node that covers the carried index passes it down;
+        one that does not is glued to it under their lowest common range."""
+        parent: SstNode | None = None
+        on_left = False
         nd = self._root
-        val, pos = v, i
-        while True:
+        # pos lies in nd's range when it is at most size - 1 below end; size
+        # is (end - mid) * 2, or 1 for a one-index node.
+        while nd is not None and 0 <= nd.end - pos < ((nd.end - nd.mid) * 2 or 1):
             if _better(val, pos, nd.min, nd.pos):
                 nd.min, nd.pos, val, pos = val, pos, nd.min, nd.pos
-            on_left = pos <= nd.mid
-            child = nd.left if on_left else nd.right
-            # pos lies in child's range when it is at most size - 1 below
-            # end; size is (end - mid) * 2, or 1 for a one-index node.
-            if child is not None and 0 <= child.end - pos < (
-                (child.end - child.mid) * 2 or 1
-            ):
-                nd = child
-                continue
-            if child is None:
-                child = SstNode(pos, pos, val, pos)
-            else:
-                child = self._merge_under_lca(child, val, pos)
-            if on_left:
-                nd.left = child
-            else:
-                nd.right = child
-            return
+            parent, on_left = nd, pos <= nd.mid
+            nd = nd.left if on_left else nd.right
+        if nd is None:
+            nd = SstNode(pos, pos, val, pos)
+        else:
+            nd = self._merge_under_lca(nd, val, pos)
+        if parent is None:
+            self._root = nd
+        elif on_left:
+            parent.left = nd
+        else:
+            parent.right = nd
 
     def _merge_under_lca(self, child: SstNode, val, pos: int) -> SstNode:
-        """Glue a compressed child and a new entry under their lowest common
-        aligned range; returns the new subtree root."""
+        """Glue a subtree and a new entry outside its range under their
+        lowest common aligned range; returns the new subtree root."""
         size = (child.end - child.mid) * 2 or 1
         lo = child.end - size + 1
         while not (lo <= pos <= lo + size - 1):

@@ -107,16 +107,15 @@ def tree_shape(arr) -> dict[tuple[int, int], tuple]:
 
 def check_tree(arr) -> None:
     """Assert the structural invariants of every node of a SuffixMinArray:
-    the root covers the whole span; each range is an aligned power of two
-    inside it; mid is the last index of the left half (end for a one-index
-    node); pos lies in the range; each child lies inside the correct half;
-    and each node's (min, pos) beats every descendant's (smaller min, or an
-    equal min at a larger index)."""
-    span = arr._span
+    each range is an aligned power of two inside [0, 2^ceil(log2 capacity)),
+    the smallest aligned range over every valid index; mid is the last index
+    of the left half (end for a one-index node); pos lies in the range; each
+    child lies inside the correct half; and each node's (min, pos) beats
+    every descendant's (smaller min, or an equal min at a larger index)."""
     root = arr._root
     if root is None:
         return
-    assert (root.start, root.end) == (0, span - 1)
+    span = 1 << (arr.capacity - 1).bit_length()
     stack = [(root, ())]
     while stack:
         nd, above = stack.pop()

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from csst.sst import INF, SuffixMinArray
-from helpers import tree_shape
+from helpers import check_tree, tree_shape
 
 # Each expected value below was worked out by hand before the
 # implementation existed; the tests freeze those numbers.
@@ -25,22 +25,25 @@ def test_small_dense_array_queries():
 
 
 def test_lazy_build_step_by_step():
-    # capacity 8: every node carries exactly one entry, so the whole
+    # capacity 8: every node carries exactly one entry, and the root is the
+    # lowest aligned range over the entries so far, so the whole
     # lazy-creation / swap / lowest-common-ancestor dance is visible in the
     # node layout.
     a = SuffixMinArray(8)
 
     a.update(2, 65)
-    assert tree_shape(a) == {(0, 7): (65, 2)}
+    assert tree_shape(a) == {(2, 2): (65, 2)}
 
     a.update(3, 42)
-    assert tree_shape(a) == {(0, 7): (42, 3), (2, 2): (65, 2)}
+    assert tree_shape(a) == {(2, 3): (42, 3), (2, 2): (65, 2)}
 
+    # 42@3 keeps the new root [0, 3]; [2, 3] refills from its child, which
+    # empties and goes.
     a.update(0, 59)
     assert tree_shape(a) == {
-        (0, 7): (42, 3),
-        (0, 3): (59, 0),
-        (2, 2): (65, 2),
+        (0, 3): (42, 3),
+        (0, 0): (59, 0),
+        (2, 3): (65, 2),
     }
 
     a.update(7, 13)
@@ -48,7 +51,7 @@ def test_lazy_build_step_by_step():
         (0, 7): (13, 7),
         (0, 3): (42, 3),
         (0, 0): (59, 0),
-        (2, 2): (65, 2),
+        (2, 3): (65, 2),
     }
     assert a.density() == 4
     assert a.node_count() == 4
@@ -74,10 +77,10 @@ def test_query_stops_early_when_carried_pair_decides():
 
 
 def test_height_reaches_but_never_exceeds_log_bound():
-    # Descending values at ascending indices build the worst-case chain:
-    # height equals the log bound exactly.
+    # Descending values at indices that each double the root's range build
+    # the worst-case chain: height equals the log bound exactly.
     a = SuffixMinArray(8)
-    for i, v in enumerate([50, 40, 30, 20]):
+    for i, v in zip([0, 1, 2, 7], [50, 40, 30, 20]):
         a.update(i, v)
     assert a.height() == 3
     assert a.height() <= min(math.ceil(math.log2(8)), a.density())
@@ -136,7 +139,7 @@ def test_absent_index_beside_a_compressed_child():
         a.update(i, v)
     shape = {
         (0, 7): (30, 0),
-        (1, 1): (40, 1),  # left half [0, 3]: 2 and 3 lie right of it
+        (0, 1): (40, 1),  # left half [0, 3]: 2 and 3 lie right of it
         (6, 7): (50, 6),  # right half [4, 7]: 4 and 5 lie left of it
         (7, 7): (60, 7),
     }
@@ -162,6 +165,25 @@ def test_grow_preserves_entries():
     assert a.min_suffix(1) == 3
     assert a.min_suffix(10) == INF
     assert a.argleq(3) == 9
+
+
+def test_grow_changes_no_node():
+    a = SuffixMinArray(8)
+    a.update(1, 5)
+    a.update(6, 3)
+    before = tree_shape(a)
+    assert before == {(0, 7): (3, 6), (1, 1): (5, 1)}
+    old_root = a._root
+    a.grow(20)  # past 8, the old power of two
+    assert tree_shape(a) == before
+    # An entry above the old root's range glues the untouched old root and
+    # the new entry under their lowest common aligned range, [0, 31].
+    a.update(19, 1)
+    assert tree_shape(a) == {**before, (0, 31): (1, 19)}
+    assert a._root.left is old_root
+    check_tree(a)
+    assert a.min_suffix(7) == 1
+    assert a.argleq(4) == 19
 
 
 def test_bad_arguments_rejected():
@@ -214,7 +236,7 @@ def test_min_suffix_rejects_minus_one_and_capacity(cap):
 
 @pytest.mark.parametrize("old, new", [(0, 1), (0, 6), (5, 7), (5, 40), (8, 9)])
 def test_min_suffix_accepts_new_top_index_after_grow(old, new):
-    # (5, 7) stays within the power-of-two span, the others widen it.
+    # (5, 7) stays below the same power of two, the others pass it.
     a = SuffixMinArray(old)
     a.grow(new)
     assert a.min_suffix(new - 1) == INF

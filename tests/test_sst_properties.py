@@ -49,7 +49,8 @@ def _apply(arr, ref, ops):
 
 # Descending values at indices 2^n - 1 build the worst-case chain, height 9
 # on capacity 300; the random draws build far shallower trees. The grow then
-# re-roots that chain past the 512 span.
+# takes capacity past 512 with every node left in place, and the last set
+# glues that chain under the root [0, 1023].
 _CHAIN = (0, 1, 3, 7, 15, 31, 63, 127, 255, 299)
 
 
@@ -57,7 +58,8 @@ _CHAIN = (0, 1, 3, 7, 15, 31, 63, 127, 255, 299)
 @given(cap=st.integers(1, 300), ops=_ops(300))
 @example(
     cap=300,
-    ops=[("set", i, 40 - n) for n, i in enumerate(_CHAIN)] + [("del", 15), ("grow", 300)],
+    ops=[("set", i, 40 - n) for n, i in enumerate(_CHAIN)]
+    + [("del", 15), ("grow", 300), ("set", 550, 0)],
 )
 def test_matches_mirror(cap, ops):
     arr = SuffixMinArray(cap)

@@ -19,19 +19,21 @@ reaches u.
 Each improvement is written in place at once, and each chain records the
 value it was last expanded at, so none is expanded twice at one value. A
 round expands a queue, in chain order: the chains improved since their last
-expansion, each queued by the first such improvement. One improved in round
-r before its turn is expanded then at its latest value and stays out of
-round r+1. A reachable() query returns at the probe that brings its target
-chain to the target index or below, mid-round. Values are indices actually
-reached and only improve, and a probe's answer only improves as its argument
-does. So after round r every chain is at least as good as its best witness
-path of at most r+1 cross-chain hops: the chain that path's last hop leaves
-was at least as good after round r-1, and was expanded at that value or a
-better one in round r or before. A shortest witness path alternates chains
-at most k times, so the closure settles within k rounds; max_closure_rounds
-records the worst query served so that bound can be audited. A chain left
-out of round r+1 and improved during it waits for round r+2, so a query's
-round count can rise while its probes fall.
+expansion, each queued by the first such improvement. Round 1's queue is
+seeded with the chains round 0 reached, in chain order, and a closure whose
+round 0 reaches nothing returns at once, settled in zero rounds. One
+improved in round r before its turn is expanded then at its latest value and
+stays out of round r+1. A reachable() query returns at the probe that brings
+its target chain to the target index or below, mid-round. Values are indices
+actually reached and only improve, and a probe's answer only improves as its
+argument does. So after round r every chain is at least as good as its best
+witness path of at most r+1 cross-chain hops: the chain that path's last hop
+leaves was at least as good after round r-1, and was expanded at that value
+or a better one in round r or before. A shortest witness path alternates
+chains at most k times, so the closure settles within k rounds;
+max_closure_rounds records the worst query served so that bound can be
+audited. A chain left out of round r+1 and improved during it waits for
+round r+2, so a query's round count can rise while its probes fall.
 
 Settled closures are memoised between edge changes. A query's round 0 is one
 row per direction: min_suffix(j1) of each array leaving chain t1 (forward),
@@ -132,11 +134,6 @@ class DynamicPartialOrder(ChainPairOrder):
 
     # -- closure -----------------------------------------------------------------
 
-    def _note_rounds(self, rounds: int) -> None:
-        self.last_closure_rounds = rounds
-        if rounds > self.max_closure_rounds:
-            self.max_closure_rounds = rounds
-
     def _closure(self, fwd: bool, tu: int, ju: int, tt: int = -1, tj: int = -1):
         """Closure of (tu, ju) along the out-links (fwd: per chain, the least
         index reached, inf when none) or the in-links (per chain, the largest
@@ -148,6 +145,9 @@ class DynamicPartialOrder(ChainPairOrder):
         early hit is final) and returns the scratch buffer, settled at tt
         only. Otherwise returns the settled closure, from the memo when it
         holds a key equal to round 0's row (looked up only when non-empty).
+        Round 1's queue holds, in chain order, the chains round 0 reached; a
+        closure whose round 0 reaches nothing is settled there, in zero
+        rounds.
         """
         clo = self._clo
         if fwd:
@@ -157,9 +157,9 @@ class DynamicPartialOrder(ChainPairOrder):
             if tt >= 0 and clo[tt] <= tj:
                 self.last_closure_rounds = 0
                 return clo
-            memo = self._fwd_memo
+            memo, none = self._fwd_memo, INF
         else:
-            links, memo = self._in, self._bwd_memo
+            links, memo, none = self._in, self._bwd_memo, -1
             for t, a in links[tu]:
                 clo[t] = a.argleq(ju)
         clo[tu] = None
@@ -171,16 +171,21 @@ class DynamicPartialOrder(ChainPairOrder):
                 self.last_closure_rounds = 0
                 return settled
         clo[tu] = ju
-        # done[t]: the value chain t was last expanded at (none, inf or -1,
-        # before its first expansion); round 0 expanded the source chain. A
-        # chain is queued for a round only at a new value: the first
-        # improvement after its last expansion queues it, and one improved
-        # again before its turn is expanded at its latest value.
-        done = [INF if fwd else -1] * self.k
+        queue = []
+        for t, _a in links[tu]:
+            if clo[t] != none:
+                queue.append(t)
+        if not queue:
+            self.last_closure_rounds = 0
+            settled = memo[key] = tuple(clo)
+            return settled
+        # done[t]: the value chain t was last expanded at (none before its
+        # first expansion); round 0 expanded the source chain. A chain is
+        # queued for a round only at a new value: the first improvement
+        # after its last expansion queues it, and one improved again before
+        # its turn is expanded at its latest value.
+        done = [none] * self.k
         done[tu] = ju
-        # zip keeps clo and done out of the comprehension's scope, so they
-        # stay fast locals rather than cells.
-        queue = [t for t, c, d in zip(range(self.k), clo, done) if c != d]
         rounds = 0
         while queue:
             rounds += 1
@@ -195,7 +200,9 @@ class DynamicPartialOrder(ChainPairOrder):
                                 nxt.append(t)
                             clo[t] = v
                             if t == tt and v <= tj:
-                                self._note_rounds(rounds)
+                                self.last_closure_rounds = rounds
+                                if rounds > self.max_closure_rounds:
+                                    self.max_closure_rounds = rounds
                                 return clo
             else:
                 for t2 in queue:
@@ -210,7 +217,9 @@ class DynamicPartialOrder(ChainPairOrder):
             # expansion sequence, and so round counts and probes, fixed.
             nxt.sort()
             queue = nxt
-        self._note_rounds(rounds)
+        self.last_closure_rounds = rounds
+        if rounds > self.max_closure_rounds:
+            self.max_closure_rounds = rounds
         settled = memo[key] = tuple(clo)
         return settled
 

@@ -41,10 +41,10 @@ The rows decide every edge:
   2(k - 2) `reachable` calls, however long the trace.
 
 Each up-front ordering u -> v is refused when v already reaches u, so the
-order never has a cycle. Every insert goes through `_force`, which records
-it in the list of edges its binding (or the up-front orderings) inserted,
-and a rollback deletes exactly that list (exact deletes restore the prior
-direct edges); the next candidate is then tried, backtracking across reads.
+order never has a cycle. Every insert is recorded in the list of edges its
+binding (or the up-front orderings) inserted, and a rollback deletes
+exactly that list (exact deletes restore the prior direct edges); the next
+candidate is then tried, backtracking across reads.
 
 A full binding is accepted once a search finds one concrete interleaving,
 so the verdict matches exhaustive enumeration. An event fires after its
@@ -174,9 +174,12 @@ def _bind(po: DynamicPartialOrder, nw: NodeId, nr: NodeId, writes) -> _Edges | N
             earlier.append((NodeId(c, ix[b - 1]), nw))
     inserted: _Edges = []
     if succ_w[nr.chain] > nr.index:
-        _force(po, [(nw, nr)], inserted)
-    _force(po, later, inserted)
-    _force(po, earlier, inserted)
+        po.insert_edge(nw, nr)
+        inserted.append((nw, nr))
+    if later:
+        _force(po, later, inserted)
+    if earlier:
+        _force(po, earlier, inserted)
     return inserted
 
 
@@ -282,22 +285,27 @@ def _realizable(lengths, edges, events, node, reads, binding) -> bool:
         step[w] += 1
         step[r] = -1
     var_id: dict[str, int] = {}
-    at = {}  # at[u]: u's needs, its variable, whether it waits, its step
+    # at[t][j]: event (t, j)'s needs (None when no edge enters it), its
+    # variable, whether it waits, its step
+    at = [[None] * n for n in lengths]
     for u, ev, d in zip(node, events, step):
-        at[u] = (needs.get(u, ()), var_id.setdefault(ev.var, len(var_id)), ev.kind == "w", d)
+        x = var_id.setdefault(ev.var, len(var_id))
+        at[u.chain][u.index] = (needs.get(u), x, ev.kind == "w", d)
     full = tuple(lengths)
+    k = len(full)
     seen = set()  # no move leads back to the empty cut
     # depth first: (cut, first thread not yet tried, pending reads per variable)
-    stack = [((0,) * len(full), 0, (0,) * len(var_id))]
+    stack = [((0,) * k, 0, (0,) * len(var_id))]
     while stack:
         cut, first, pending = stack.pop()
         if cut == full:
             return True
-        for t, j in enumerate(cut[first:], first):
+        for t in range(first, k):
+            j = cut[t]
             if j == full[t]:
                 continue
-            need, x, waits, d = at[t, j]
-            if waits and pending[x] or not all(map(le, need, cut)):
+            need, x, waits, d = at[t][j]
+            if waits and pending[x] or need is not None and not all(map(le, need, cut)):
                 continue
             nxt = cut[:t] + (j + 1,) + cut[t + 1 :]
             if nxt not in seen:

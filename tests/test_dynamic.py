@@ -242,6 +242,40 @@ def test_closure_memo_kept_until_an_array_entry_changes():
     assert po.closure_memo_hits == hits
 
 
+def test_a_closure_whose_round_0_reaches_nothing_settles_in_zero_rounds():
+    # Chain 0's one out-edge leaves index 2 and its one in-edge enters index
+    # 3, so round 0 reaches no chain forward from (0,4) or (0,5), nor
+    # backward from (0,0) or (0,1).
+    po = DynamicPartialOrder(3, [6, 6, 6])
+    po.insert_edge(N(0, 2), N(1, 3))
+    po.insert_edge(N(1, 4), N(2, 2))
+    po.insert_edge(N(2, 0), N(0, 3))
+    assert po.successors(N(0, 0)) == [0, 3, 2]
+    assert po.last_closure_rounds == po.max_closure_rounds == 2
+    hits = po.closure_memo_hits
+
+    def empty_rows(fwd_from, bwd_from):
+        assert po.successors(N(0, fwd_from)) == [fwd_from, None, None]
+        assert po.last_closure_rounds == 0
+        assert po.predecessors(N(0, bwd_from)) == [bwd_from, None, None]
+        assert po.last_closure_rounds == 0
+        assert not po.reachable(N(0, fwd_from), N(1, 5))
+        assert po.last_closure_rounds == 0
+        assert po.max_closure_rounds == 2
+
+    empty_rows(4, 1)
+    assert po.closure_memo_hits == hits + 1  # the reachable after the row
+    # (0,5) and (0,0) have the same empty round-0 rows: the memo answers.
+    empty_rows(5, 0)
+    assert po.closure_memo_hits == hits + 4
+
+    # An entry change clears the memo, even one no queried row reads.
+    po.insert_edge(N(1, 0), N(2, 0))
+    hits = po.closure_memo_hits
+    empty_rows(5, 0)
+    assert po.closure_memo_hits == hits + 1
+
+
 def _queries(k, lengths):
     """Every cross-chain successor, predecessor and reachable query, as
     (method name, node, argument)."""
@@ -354,3 +388,49 @@ def test_no_array_probed_twice_at_one_argument_in_a_query(monkeypatch):
                     assert len(set(probes)) == len(probes), (name, u, arg)
                     multi_round += po.last_closure_rounds > 1
     assert multi_round > 1000  # enough queries ran more than one round
+
+
+def test_closures_probe_arrays_in_a_pinned_order(monkeypatch):
+    # Forward from (0,0), round 0 reaches chains 1, 2 and 3 (at 3, 2 and 4).
+    # Round 1 expands them in chain order; expanding chain 1 brings chain 3
+    # to 1 before its turn, so chain 3 is expanded at 1 and not queued
+    # again, while chain 2's expansion brings the expanded chain 1 to 1, so
+    # round 2 expands chain 1 once more. That brings chain 3 to 0, and
+    # round 3 expands chain 3 at 0 and finds nothing better.
+    po = DynamicPartialOrder(4, [6, 6, 6, 6])
+    for u, v in [
+        (N(0, 0), N(1, 3)),
+        (N(0, 0), N(2, 2)),
+        (N(0, 0), N(3, 4)),
+        (N(1, 3), N(3, 1)),
+        (N(2, 2), N(1, 1)),
+        (N(1, 1), N(3, 0)),
+        (N(3, 5), N(0, 5)),
+    ]:
+        po.insert_edge(u, v)
+    pair = {
+        id(po.arrays[t1 * 4 + t2]): (t1, t2) for t1 in range(4) for t2 in range(4) if t1 != t2
+    }
+    probes = []
+    for name in ("min_suffix", "argleq"):
+        def probe(self, j, _fn=getattr(SuffixMinArray, name), _name=name):
+            probes.append((_name, *pair[id(self)], j))
+            return _fn(self, j)
+
+        monkeypatch.setattr(SuffixMinArray, name, probe)
+
+    assert po.successors(N(0, 0)) == [0, 1, 2, 0]
+    assert po.last_closure_rounds == 3
+    # (chain expanded, at): round 0, round 1, round 2, round 3
+    expanded = [(0, 0), (1, 3), (2, 2), (3, 1), (1, 1), (3, 0)]
+    assert probes == [("min_suffix", t1, t2, j) for t1, j in expanded for t2 in range(4) if t2 != t1]
+
+    # Backward from (3,4), round 0 reaches chains 0 and 1 (at 0 and 3).
+    # Round 1 expands chain 0 at 0, which no edge enters at or below, then
+    # chain 1 at 3, which (2,2) enters at 1; round 2 expands chain 2 at 2
+    # and settles.
+    probes.clear()
+    assert po.predecessors(N(3, 4)) == [0, 3, 2, 4]
+    assert po.last_closure_rounds == 2
+    expanded = [(3, 4), (0, 0), (1, 3), (2, 2)]
+    assert probes == [("argleq", t1, t2, j) for t2, j in expanded for t1 in range(4) if t1 != t2]

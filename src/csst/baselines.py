@@ -57,17 +57,6 @@ class VectorClockPO(PartialOrderBase):
             row[t] = j
             rows.append(row)
 
-    def _entry(self, t: int, i: int, s: int) -> int:
-        """clock(t, i)[s] without materializing anything."""
-        if s == t:
-            return i
-        rows = self._rows[t]
-        if not rows:
-            return -1
-        if i < len(rows):
-            return rows[i][s]
-        return rows[-1][s]
-
     # -- updates ---------------------------------------------------------------
 
     def _insert_edge(self, u: NodeId, v: NodeId) -> None:
@@ -107,7 +96,7 @@ class VectorClockPO(PartialOrderBase):
     # -- queries ---------------------------------------------------------------
 
     def _reachable(self, u: NodeId, v: NodeId) -> bool:
-        return self._entry(v.chain, v.index, u.chain) >= u.index
+        return self._predecessors(v)[u.chain] >= u.index
 
     def _successor(self, u: NodeId, t2: int):
         # clock(t2, j)[u.chain] is nondecreasing in j: binary-search the
@@ -118,11 +107,8 @@ class VectorClockPO(PartialOrderBase):
             return INF
         return bisect_left(rows, j1, key=lambda row: row[t1])
 
-    def _predecessor(self, u: NodeId, t1: int):
-        return self._entry(u.chain, u.index, t1)
-
     def _predecessors(self, u: NodeId):
-        # u's clock row, as _entry reads it entry by entry.
+        # u's clock row, without materializing anything.
         t, i = u
         rows = self._rows[t]
         return rows[min(i, len(rows) - 1)] if rows else [-1] * self.k
@@ -225,12 +211,6 @@ class GraphPO(PartialOrderBase):
 
     def _reachable(self, u: NodeId, v: NodeId) -> bool:
         return self._flood_fwd(u.chain, u.index, v.chain, v.index)
-
-    def _successor(self, u: NodeId, t2: int):
-        return self._flood_fwd(u.chain, u.index)[t2]
-
-    def _predecessor(self, u: NodeId, t1: int):
-        return self._flood_bwd(u.chain, u.index)[t1]
 
     def _successors(self, u: NodeId):
         return self._flood_fwd(u.chain, u.index)

@@ -56,15 +56,18 @@ class PartialOrderBase:
     """Common validation and trivia shared by every order implementation.
 
     Subclasses maintain self.lengths (list[int], current chain lengths) and
-    implement _insert_edge, _successor, _predecessor, _reachable and
-    optionally _delete_edge and _grow. The base handles argument validation
-    and the same-chain trivial cases; _reachable sees only valid cross-chain
-    pairs. An order that does not implement _delete_edge is insert-only: the
-    base's raises DeleteUnsupported on every valid cross-chain delete, and
-    the fuzzer reads insert-only from exactly that.
-    The row queries _successors and _predecessors default to one _successor
-    or _predecessor per other chain; a backend that computes the whole row
-    anyway overrides them.
+    implement _insert_edge and optionally _delete_edge and _grow. The base
+    handles argument validation and the same-chain trivial cases; the query
+    hooks see only valid cross-chain queries. An order that does not
+    implement _delete_edge is insert-only: the base's raises
+    DeleteUnsupported on every valid cross-chain delete, and the fuzzer
+    reads insert-only from exactly that.
+    Of each query pair, _successor/_successors and
+    _predecessor/_predecessors, a backend overrides at least one: the one
+    it answers natively. The base derives the other: a single entry is one
+    slot of the row, and a row is one single-entry call per other chain.
+    An order that overrides neither of a pair recurses without end.
+    _reachable defaults to one _successor call.
 
     Hooks answer in one encoding, the identity of the query's fold on an
     empty set: _successor and _successors give inf where u reaches nothing,
@@ -176,10 +179,10 @@ class PartialOrderBase:
         raise PoError(PoErrorKind.DELETE_UNSUPPORTED, (u, v))
 
     def _successor(self, u: NodeId, t2: int):
-        raise NotImplementedError
+        return self._successors(u)[t2]
 
     def _predecessor(self, u: NodeId, t1: int):
-        raise NotImplementedError
+        return self._predecessors(u)[t1]
 
     def _successors(self, u: NodeId):
         # Default: one _successor per other chain.
@@ -189,7 +192,7 @@ class PartialOrderBase:
         return [u.index if t == u.chain else self._predecessor(u, t) for t in range(self.k)]
 
     def _reachable(self, u: NodeId, v: NodeId) -> bool:
-        raise NotImplementedError
+        return self._successor(u, v.chain) <= v.index
 
     def _grow(self, chain: int, new_len: int) -> None:
         # Default: nothing beyond the length bump in grow().

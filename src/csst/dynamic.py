@@ -98,14 +98,13 @@ class DynamicPartialOrder(ChainPairOrder):
         t2, j2 = v
         key = (t1, j1, t2)
         lst = self._store.get(key)
-        if lst is not None:
-            i = bisect_left(lst, j2)
-            if i < len(lst) and lst[i] == j2:
-                raise PoError(PoErrorKind.DUPLICATE_EDGE, (u, v))
         if lst is None:
             self._store[key] = [j2]
             cur = INF
         else:
+            i = bisect_left(lst, j2)
+            if i < len(lst) and lst[i] == j2:
+                raise PoError(PoErrorKind.DUPLICATE_EDGE, (u, v))
             cur = lst[0]
             lst.insert(i, j2)
         if j2 < cur:
@@ -224,12 +223,6 @@ class DynamicPartialOrder(ChainPairOrder):
         return settled
 
     # -- queries -----------------------------------------------------------------
-
-    def _successor(self, u: NodeId, t2: int):
-        return self._closure(True, u.chain, u.index)[t2]
-
-    def _predecessor(self, u: NodeId, t1: int):
-        return self._closure(False, u.chain, u.index)[t1]
 
     def _successors(self, u: NodeId):
         return self._closure(True, u.chain, u.index)

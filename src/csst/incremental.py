@@ -101,9 +101,6 @@ class IncrementalPartialOrder(ChainPairOrder):
 
     # -- queries ---------------------------------------------------------------
 
-    def _reachable(self, u: NodeId, v: NodeId) -> bool:
-        return self.arrays[u.chain * self.k + v.chain].min_suffix(u.index) <= v.index
-
     def _successor(self, u: NodeId, t2: int):
         return self.arrays[u.chain * self.k + t2].min_suffix(u.index)
 

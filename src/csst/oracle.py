@@ -92,9 +92,3 @@ class BruteForcePartialOrder(PartialOrderBase):
             if i > row[t]:
                 row[t] = i
         return row
-
-    def _successor(self, u: NodeId, t2: int):
-        return self._successors(u)[t2]
-
-    def _predecessor(self, u: NodeId, t1: int):
-        return self._predecessors(u)[t1]

@@ -14,11 +14,10 @@ inserts w -> r, then forces, for every other write o to the same variable:
     o reaches r  =>  o comes before w   (insert o -> w)
 
 A candidate reads four rows, all before it inserts anything: the successor
-and predecessor rows of w and of r, taken straight from the order's closure
-in the order hooks' encoding (inf for a chain not reached forward, -1 for
-one with nothing reaching back), with the node's own index in its own
-slot. Every node is an event of the validated trace, so no row needs a
-range check.
+and predecessor rows of w and of r, read through the order's row hooks in
+their encoding (inf for a chain not reached forward, -1 for one with
+nothing reaching back), with the node's own index in its own slot. Every
+node is an event of the validated trace, so no row needs a range check.
 The rows decide every edge:
 
 - w -> r closes a cycle exactly when r reaches w, and is implied already
@@ -141,10 +140,11 @@ def _rollback(po: DynamicPartialOrder, inserted: _Edges) -> None:
 
 
 def _row(po: DynamicPartialOrder, fwd: bool, u: NodeId) -> list[int]:
-    """u's successor (fwd) or predecessor row in the order hooks' encoding
-    (inf for a chain u reaches nothing on, -1 for one with nothing reaching
-    u), plus u's own index in its own slot. u comes from a validated trace."""
-    row = list(po._closure(fwd, u.chain, u.index))
+    """u's successor (fwd) or predecessor row, read through the order's row
+    hook in its encoding (inf for a chain u reaches nothing on, -1 for one
+    with nothing reaching u), plus u's own index in its own slot. u comes
+    from a validated trace."""
+    row = list(po._successors(u) if fwd else po._predecessors(u))
     row[u.chain] = u.index
     return row
 
@@ -199,7 +199,8 @@ def check(events: list[TraceEvent], orders=()) -> CheckResult:
         elif po.reachable(u, v):
             continue
         elif not po.reachable(v, u):
-            _force(po, [(u, v)], pre)
+            po.insert_edge(u, v)
+            pre.append((u, v))
             continue
         raise ValueError(f"initial orderings are contradictory at {(t1, j1, t2, j2)}")
 

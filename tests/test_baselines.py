@@ -27,7 +27,7 @@ def test_clock_entries_cover_untouched_suffix():
     # Only index 0 of each chain is materialized; the rest of chain 1 still
     # answers through the frozen last row.
     assert vc.materialized_rows() == 2
-    assert vc._entry(1, 2, 0) == 0
+    assert vc._predecessors(N(1, 2))[0] == 0
     assert vc.reachable(N(0, 0), N(1, 2))
     assert not vc.reachable(N(0, 1), N(1, 2))
     assert vc.successor(N(0, 0), 1) == 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from csst import BruteForcePartialOrder, NodeId, PoError, PoErrorKind
+from csst import BruteForcePartialOrder, NodeId, PartialOrderBase, PoError, PoErrorKind
 from csst.harness import BACKENDS, make_backend
 
 N = NodeId
@@ -55,6 +55,17 @@ def test_oracle_self_consistency():
         for j1 in range(3):
             want = p is not None and j1 <= p
             assert po.reachable(N(t1, j1), N(2, 1)) == want
+
+
+@pytest.mark.parametrize("cls", [BACKENDS[n] for n in sorted(BACKENDS)] + [BruteForcePartialOrder])
+def test_every_order_answers_one_hook_of_each_pair_natively(cls):
+    # The base derives a single entry from the row and the row from single
+    # entries, so an order that overrides neither of a pair recurses.
+    def native(hook):
+        return getattr(cls, hook) is not getattr(PartialOrderBase, hook)
+
+    assert native("_successor") or native("_successors")
+    assert native("_predecessor") or native("_predecessors")
 
 
 @pytest.mark.parametrize("name", sorted(BACKENDS) + ["oracle"])

@@ -160,6 +160,9 @@ class _BrokenGraphRows(harness.BACKENDS["graph"]):
     def _predecessors(self, u):
         return [p if p < 0 else p + 1 for p in super()._predecessors(u)]
 
+    def _predecessor(self, u, t1):
+        return super()._predecessors(u)[t1]
+
 
 def test_fuzz_catches_a_planted_bug_and_shrinks(monkeypatch):
     _catches_and_shrinks(monkeypatch, _BrokenGraph, 0xA5128F16)

@@ -269,7 +269,7 @@ def _seed3_pool():
 
 
 def test_queries_per_candidate_do_not_grow_with_the_trace(monkeypatch):
-    # A candidate reads four rows straight from the closure, and takes a
+    # A candidate reads four rows, one closure each, and takes a
     # `reachable` only for the second and later forced edges of a kind
     # (r -> o, o -> w), each on its own chain: two forward rows, two
     # backward rows and at most 2(k - 2) `reachable` calls, whether the
@@ -568,6 +568,26 @@ def test_check_rejects_invalid_input_before_building_the_order(events, orders):
     with pytest.raises(ValueError):
         check(events, orders)
     assert time.perf_counter() - t0 < 0.1
+
+
+def test_satcheck_on_graph_agrees_with_csst_dyn(monkeypatch):
+    # Satcheck reads rows only through the order's row hooks and asks only
+    # `reachable`, so any fully dynamic order must give csst-dyn's verdicts
+    # and bindings, and GraphPO shares no code with csst-dyn's closure.
+    import csst.satcheck as satcheck
+    from csst.baselines import GraphPO
+
+    rng = random.Random(626)
+    inputs = [parse_trace((DATA / name).read_text())
+              for name in ("two_candidates.trace", "reused_values.trace", "reused_values_5.trace")]
+    inputs += [random_trace(rng, max_events=12) for _ in range(300)]
+    inputs += [reused_value_trace(rng) for _ in range(100)]
+    inputs += _seed3_pool()
+    want = [check(*args) for args in inputs]
+    assert 0 < sum(res.consistent for res in want) < len(want)
+    monkeypatch.setattr(satcheck, "DynamicPartialOrder", GraphPO)
+    for args, res in zip(inputs, want):
+        assert check(*args) == res, args
 
 
 def test_the_last_binding_is_saturated_when_the_search_starts(monkeypatch):

@@ -5,7 +5,7 @@ Layers, roughly bottom to top:
     sst          sparse suffix-minima tree (the core index structure)
     core         NodeId / error vocabulary shared by all order variants,
                  and the chain-pair base of incremental, dynamic and st
-    incremental  insert-only order, O(1)-lookup queries
+    incremental  insert-only order, one O(min(log n, d)) array call per query
     dynamic      insert + delete order, small per-query fixpoint
     baselines    vector clocks, plain BFS graph, and csst-inc's closure
                  over dense segment trees

@@ -124,20 +124,22 @@ def main(argv=None) -> int:
     fz = sub.add_parser("fuzz", help="race backends against a brute-force oracle on random workloads")
     fz.add_argument("--seed", type=int, required=True)
     fz.add_argument("--runs", type=int, default=100)
-    fz.add_argument("--deletes", type=float, default=0.0, help="fraction of updates that delete")
-    fz.add_argument("--max-k", type=int, default=6)
-    fz.add_argument("--max-len", type=int, default=64)
-    fz.add_argument("--max-updates", type=int, default=120)
-    fz.add_argument("--max-queries", type=int, default=400)
+    fz.add_argument("--deletes", type=float, default=FuzzOptions.delete_frac,
+                    help="fraction of updates that delete")
+    fz.add_argument("--max-k", type=int, default=FuzzOptions.max_k)
+    fz.add_argument("--max-len", type=int, default=FuzzOptions.max_len)
+    fz.add_argument("--max-updates", type=int, default=FuzzOptions.max_updates)
+    fz.add_argument("--max-queries", type=int, default=FuzzOptions.max_queries)
     fz.add_argument("--backends", help="comma-separated backend subset (default depends on --deletes)")
 
     bn = sub.add_parser("bench", help="time inserts and reachability queries, print one CSV row")
     bn.add_argument("--backend", required=True, choices=sorted(BACKENDS))
     bn.add_argument("--k", type=int, required=True)
     bn.add_argument("--ell", type=int, required=True, help="events per chain")
-    bn.add_argument("--window", type=int, default=10_000)
-    bn.add_argument("--factor", type=int, default=20, help="insert attempts per chain event")
-    bn.add_argument("--queries", type=int, default=1_000_000)
+    bn.add_argument("--window", type=int, default=BenchConfig.window)
+    bn.add_argument("--factor", type=int, default=BenchConfig.insert_factor,
+                    help="insert attempts per chain event")
+    bn.add_argument("--queries", type=int, default=BenchConfig.queries)
     bn.add_argument("--seed", type=int, required=True)
     bn.add_argument("--no-timing", action="store_true", help="zero the timing columns for reproducible output")
 

@@ -55,11 +55,12 @@ class PoError(Exception):
 class PartialOrderBase:
     """Common validation and trivia shared by every order implementation.
 
-    Subclasses maintain self.lengths (list[int], current chain lengths) and
-    implement _insert_edge and optionally _delete_edge and _grow. The base
-    handles argument validation and the same-chain trivial cases; the query
-    hooks see only valid cross-chain queries. An order that does not
-    implement _delete_edge is insert-only: the base's raises
+    The base keeps self.lengths (list[int], current chain lengths): it sets
+    it in __init__, and grow updates it after the subclass's _grow has run.
+    Subclasses implement _insert_edge and optionally _delete_edge and
+    _grow. The base handles argument validation and the same-chain trivial
+    cases; the query hooks see only valid cross-chain queries. An order
+    that does not implement _delete_edge is insert-only: the base's raises
     DeleteUnsupported on every valid cross-chain delete, and the fuzzer
     reads insert-only from exactly that.
     Of each query pair, _successor/_successors and

@@ -1,4 +1,4 @@
-"""Insert-only partial order over k chains with O(1)-lookup queries.
+"""Insert-only partial order over k chains; a query is one array call.
 
 A ChainPairOrder: one sparse suffix-minima array per ordered chain pair
 (t1, t2) stores, for each source index j1, the least index of chain t2
@@ -7,6 +7,8 @@ closed, so
 
     successor(u, t2)   = one min_suffix lookup (reachable too)
     predecessor(u, t1) = one argleq lookup
+
+each O(min(log n, d)) for n the array's capacity and d its live entries.
 
 The closure argument needs an acyclic order, so an insert u -> v that
 would close a cycle raises CycleDetected before any write: v reaches u

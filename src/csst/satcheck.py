@@ -75,7 +75,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import le
 
-from .core import NodeId
+from .core import NodeId, PartialOrderBase
 from .dynamic import DynamicPartialOrder
 
 
@@ -124,7 +124,7 @@ class CheckResult:
 _Edges = list[tuple[NodeId, NodeId]]
 
 
-def _force(po: DynamicPartialOrder, edges: _Edges, inserted: _Edges) -> None:
+def _force(po: PartialOrderBase, edges: _Edges, inserted: _Edges) -> None:
     """Insert each edge, none of which closes a cycle, and append it to
     `inserted`. The first is not yet implied; an insert may imply a later
     one, so each later one is tested first."""
@@ -134,12 +134,12 @@ def _force(po: DynamicPartialOrder, edges: _Edges, inserted: _Edges) -> None:
             inserted.append((u, v))
 
 
-def _rollback(po: DynamicPartialOrder, inserted: _Edges) -> None:
+def _rollback(po: PartialOrderBase, inserted: _Edges) -> None:
     for u, v in reversed(inserted):
         po.delete_edge(u, v)
 
 
-def _row(po: DynamicPartialOrder, fwd: bool, u: NodeId) -> list[int]:
+def _row(po: PartialOrderBase, fwd: bool, u: NodeId) -> list[int]:
     """u's successor (fwd) or predecessor row, read through the order's row
     hook in its encoding (inf for a chain u reaches nothing on, -1 for one
     with nothing reaching u), plus u's own index in its own slot. u comes
@@ -149,7 +149,7 @@ def _row(po: DynamicPartialOrder, fwd: bool, u: NodeId) -> list[int]:
     return row
 
 
-def _bind(po: DynamicPartialOrder, nw: NodeId, nr: NodeId, writes) -> _Edges | None:
+def _bind(po: PartialOrderBase, nw: NodeId, nr: NodeId, writes) -> _Edges | None:
     """Bind read nr to write nw: the edges inserted, or None when the
     binding is dead. `writes[c]`: the sorted indices of chain c's writes to
     their variable."""

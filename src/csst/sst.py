@@ -6,12 +6,14 @@ two queries:
     min_suffix(i) = min A[i:]
     argleq(v)     = max { i : A[i] <= v }   (-1 when no entry qualifies)
 
-Entries with value inf are absent. A query over no entry answers with the
-identity of its fold: inf for a minimum, -1 for a largest index. The tree
-is lazy and path-compressed: nodes exist only where entries do, and
-single-child chains are collapsed. There is one node kind, and each node
-owns exactly one live entry, so node_count() == density() and an empty
-array owns zero nodes.
+Entries with value inf are absent. Every index argument, to min_suffix,
+value_at or update, lies in [0, capacity); any other raises IndexError. A
+query over no entry answers with the identity of its fold: inf for a
+minimum, -1 for a largest index. The tree is lazy and path-compressed:
+nodes exist only where entries do, and single-child chains are collapsed.
+There is one node kind, and each node owns exactly one live entry, so
+node_count() is the entry count density() and an empty array owns zero
+nodes.
 
 Every node covers an aligned power-of-two index range and carries the pair
 (min, pos) where min is the smallest entry value stored in its subtree and
@@ -72,15 +74,12 @@ def _better(mn_a, pos_a: int, mn_b, pos_b: int) -> bool:
 class SuffixMinArray:
     """Sparse suffix-minima structure; see module docstring."""
 
-    # _top is max(capacity, 1), min_suffix's exclusive index bound: index 0
-    # stays valid on a capacity-0 array (its empty suffix has minimum inf).
-    __slots__ = ("capacity", "_top", "_root", "_density")
+    __slots__ = ("capacity", "_root", "_density")
 
     def __init__(self, capacity: int):
         if capacity < 0:
             raise ValueError("capacity must be >= 0")
         self.capacity = capacity
-        self._top = max(capacity, 1)
         self._root: SstNode | None = None
         self._density = 0
 
@@ -88,7 +87,7 @@ class SuffixMinArray:
 
     def min_suffix(self, i: int):
         """min A[i:]; inf when the suffix holds no entry."""
-        if not 0 <= i < self._top:
+        if not 0 <= i < self.capacity:
             raise IndexError(f"index {i} out of range 0..{self.capacity - 1}")
         res = INF
         nd = self._root
@@ -148,19 +147,9 @@ class SuffixMinArray:
         return h
 
     def node_count(self) -> int:
-        """Number of allocated nodes, found by walking the tree."""
-        if self._root is None:
-            return 0
-        n = 0
-        stack = [self._root]
-        while stack:
-            nd = stack.pop()
-            n += 1
-            if nd.left is not None:
-                stack.append(nd.left)
-            if nd.right is not None:
-                stack.append(nd.right)
-        return n
+        """Number of allocated nodes: each node owns one live entry, so this
+        is density()."""
+        return self._density
 
     def value_at(self, i: int):
         """Current entry at index i, inf when absent (point lookup)."""
@@ -211,7 +200,6 @@ class SuffixMinArray:
         if new_capacity < self.capacity:
             raise ValueError("grow cannot shrink")
         self.capacity = new_capacity
-        self._top = max(new_capacity, 1)
 
     # -- internals -------------------------------------------------------------
 

@@ -110,15 +110,16 @@ def check_tree(arr) -> None:
     each range is an aligned power of two inside [0, 2^ceil(log2 capacity)),
     the smallest aligned range over every valid index; mid is the last index
     of the left half (end for a one-index node); pos lies in the range; each
-    child lies inside the correct half; and each node's (min, pos) beats
-    every descendant's (smaller min, or an equal min at a larger index)."""
+    child lies inside the correct half; each node's (min, pos) beats every
+    descendant's (smaller min, or an equal min at a larger index); and the
+    walk visits one node per live entry, the count node_count() reports."""
     root = arr._root
-    if root is None:
-        return
+    visited = 0
     span = 1 << (arr.capacity - 1).bit_length()
-    stack = [(root, ())]
+    stack = [(root, ())] if root is not None else []
     while stack:
         nd, above = stack.pop()
+        visited += 1
         lo, hi = nd.start, nd.end
         size = hi - lo + 1
         assert 0 <= lo <= hi < span
@@ -133,6 +134,7 @@ def check_tree(arr) -> None:
                 assert size > 1
                 assert half_lo <= child.start and child.end <= half_hi
                 stack.append((child, above))
+    assert visited == arr.density()
 
 
 class RefOrder:

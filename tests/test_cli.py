@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from csst import harness
+from csst import cli, harness
 from csst.cli import main
 from csst.core import PoError, PoErrorKind
 
@@ -157,6 +157,31 @@ def test_bench_no_timing_is_byte_stable(capsys):
 
 def test_bench_needs_two_chains(capsys):
     assert main(["bench", "--backend", "vc", "--k", "1", "--ell", "10", "--seed", "1"]) == 1
+
+
+def test_option_defaults_are_the_dataclass_defaults(monkeypatch, capsys):
+    seen = []
+
+    def fake_fuzz(seed, runs, opts, backends):
+        seen.append(opts)
+        return runs, None
+
+    class _Row:
+        def csv(self):
+            return ""
+
+    def fake_run_bench(cfg):
+        seen.append(cfg)
+        return _Row()
+
+    monkeypatch.setattr(cli, "fuzz", fake_fuzz)
+    monkeypatch.setattr(cli, "run_bench", fake_run_bench)
+    assert main(["fuzz", "--seed", "1"]) == 0
+    assert main(["bench", "--backend", "vc", "--k", "2", "--ell", "10", "--seed", "1"]) == 0
+    assert seen == [
+        harness.FuzzOptions(),
+        harness.BenchConfig(backend="vc", k=2, ell=10, seed=1),
+    ]
 
 
 def test_satcheck_consistent_trace(capsys):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from csst import BruteForcePartialOrder, DynamicPartialOrder, NodeId, PoError, PoErrorKind
 from csst.sst import INF, SuffixMinArray
-from helpers import RefOrder
+from helpers import RefOrder, check_tree
 
 N = NodeId
 
@@ -190,6 +190,9 @@ def test_agrees_with_naive_order_under_churn(k, data):
                         (t1, j1), (t2, j2)
                     )
     assert po.max_closure_rounds <= k
+    for arr in po.arrays:
+        if arr is not None:
+            check_tree(arr)
 
 
 def test_closure_memo_kept_until_an_array_entry_changes():

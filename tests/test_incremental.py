@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from csst import IncrementalPartialOrder, NodeId, PlainStPO, PoError, PoErrorKind
 from csst.sst import INF
-from helpers import RefFold, RefOrder
+from helpers import RefFold, RefOrder, check_tree
 
 N = NodeId
 
@@ -236,6 +236,9 @@ def test_writes_match_the_unpruned_fold(k, data):
         fold.insert_edge(u, v)
         for got, want in zip(po.arrays, fold.arrays):
             assert (got and got.entries()) == (want and want.entries())
+    for arr in po.arrays:
+        if arr is not None:
+            check_tree(arr)
 
 
 def test_reinsert_implied_edge_costs_one_probe():

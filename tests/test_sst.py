@@ -104,7 +104,7 @@ def test_delete_everything_leaves_empty_tree():
         a.update(i, v)
     for i in [7, 15, 3, 8]:
         a.update(i, INF)
-    assert a.node_count() == 0
+    assert tree_shape(a) == {}
     assert a.density() == 0
     assert a.min_suffix(0) == INF
     assert a.argleq(10 ** 9) == -1
@@ -212,15 +212,15 @@ def test_empty_and_capacity_zero():
     assert b.height() == 0
 
 
-# min_suffix's index bound is kept in a slot beside capacity; these pin that
-# it keeps the checked contract: [0, max(capacity, 1)).
-
-
-def test_min_suffix_zero_on_capacity_zero_is_inf():
+def test_capacity_zero_rejects_index_zero():
+    # No index is valid on a capacity-0 array, for a query or an update.
     a = SuffixMinArray(0)
-    assert a.min_suffix(0) == INF
     with pytest.raises(IndexError):
-        a.min_suffix(1)
+        a.min_suffix(0)
+    with pytest.raises(IndexError):
+        a.update(0, 1)
+    with pytest.raises(IndexError):
+        a.value_at(0)
 
 
 @pytest.mark.parametrize("cap", [1, 5, 8, 40])

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from csst.baselines import DenseMinArray
 from csst.sst import INF, SuffixMinArray
-from helpers import RefArray, check_tree
+from helpers import RefArray, check_tree, tree_shape
 
 # An op is either ("set", i, v), ("del", i) or ("grow", extra).
 def _ops(max_cap: int):
@@ -101,7 +101,7 @@ def test_height_bound_and_node_economy(cap, ops):
         bound = min(math.ceil(math.log2(max(ref.capacity, 2))), d) if d else 0
         assert arr.height() <= bound
         # Every node owns exactly one live entry.
-        assert arr.node_count() == d
+        assert len(tree_shape(arr)) == d
 
 
 @settings(max_examples=150, deadline=None)
@@ -118,7 +118,7 @@ def test_insert_then_delete_round_trip(pairs, order):
     order.shuffle(items)
     for i, _ in items:
         arr.update(i, INF)
-    assert arr.node_count() == 0
+    assert len(tree_shape(arr)) == 0
     assert arr.density() == 0
     assert arr.min_suffix(0) == INF
 
